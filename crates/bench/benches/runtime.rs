@@ -1,6 +1,7 @@
-//! The shared-nothing serving runtime: the channel-fed multi-core
-//! network walk against the sequential per-packet reference, and the
-//! engine-level replica serving loop, at 1/2/4 worker cores.
+//! The shared-nothing serving runtime: the multi-core network walk
+//! (packet ranges dealt round-robin by the scoped job driver) against
+//! the sequential per-packet reference, and the engine-level replica
+//! serving loop, at 1/2/4 worker cores.
 
 use clue_core::{EngineConfig, EpochCell, Method, StrideConfig};
 use clue_lookup::Family;

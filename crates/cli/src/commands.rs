@@ -1483,9 +1483,8 @@ fn throughput(args: &[String]) -> Result<(), String> {
 
     // Best-of-3 on the runtime's own steady-state clock (replica
     // priming excluded); the report picked is the fastest run's.
-    // Batch so each worker sees a handful of jobs: long jobs keep the
-    // lane-interleaved walk out of the dispatcher, a handful (rather
-    // than one) of them per core lets the feed stay primed.
+    // Batch so each worker gets a handful of jobs: long jobs keep the
+    // lane-interleaved walk busy between epoch checks.
     let runtime_cfg = clue_netsim::RuntimeConfig {
         workers: threads,
         batch: (net_packets / threads.max(1) / 4).max(512),

@@ -172,7 +172,7 @@ pub struct ChurnReport {
     pub reader_panics: Vec<(usize, String)>,
     /// Freeze attempts that exceeded the watchdog budget.
     pub watchdog_trips: u64,
-    /// Backoff-then-retry cycles the watchdog scheduled.
+    /// Retry cycles (each after a backoff) the watchdog scheduled.
     pub backoff_retries: u64,
     /// Epochs skipped after exhausting watchdog retries.
     pub skipped_epochs: u64,

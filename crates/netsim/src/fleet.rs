@@ -20,8 +20,8 @@
 //!   republish routers barrier-free while serving workers keep
 //!   routing off pinned snapshots.
 //!
-//! The packet leg reuses the PR-7 shared-nothing recipe: contiguous
-//! flow-range jobs on lock-free SPSC feeds, per-worker integer
+//! The packet leg runs on the crate's one scoped job driver:
+//! contiguous flow-range jobs dealt round-robin, per-worker integer
 //! accumulators merged after the run. Each flow's drawing RNG is a
 //! private SplitMix64-seeded stream of its *index*, and every merge is
 //! a commutative integer add, so [`Fleet::run_flows`] is bit-identical
@@ -34,10 +34,9 @@
 //! baseline run over the *same* hops, and churn-induced staleness per
 //! router.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use clue_core::channel::{mpsc, spsc, SpscReceiver, TryRecvError};
 use clue_core::{
     BatchSignals, ClueEngine, ClueHeader, EngineConfig, EpochCell, EpochGuard, EpochReader,
     Method, ReputationBook, ReputationConfig, StrideConfig, StrideEngine, StrideError, NO_TAG,
@@ -52,8 +51,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 use crate::adversary::{deepest_mismatch_clue, flood_clue, AttackProfile};
+use crate::driver::{drive, ranges};
 use crate::parallel::packet_seed;
-use crate::runtime::{Backoff, Job};
 use crate::topology::{EcmpTree, RouterId, Topology};
 
 /// Origin sentinel for a tag whose prefix is not in the router's FIB.
@@ -562,102 +561,32 @@ impl Fleet {
     }
 
     /// Routes `flows` flows over `workers` OS threads: contiguous
-    /// flow-range jobs on per-worker SPSC feeds, per-worker
-    /// accumulators merged in worker order. Bit-identical to
+    /// 64-flow jobs dealt round-robin, per-worker accumulators merged
+    /// in worker order. Bit-identical to
     /// [`Self::run_flows_sequential`] at any worker count.
     pub fn run_flows(&self, flows: usize, workers: usize) -> FleetRunReport {
         let workers = workers.max(1);
-        let batch = 64u64;
         let links = self.link_from.len();
-
-        let mut feeds = Vec::with_capacity(workers);
-        let mut worker_rx: Vec<Option<SpscReceiver<Job>>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = spsc::<Job>(64);
-            feeds.push(tx);
-            worker_rx.push(Some(rx));
-        }
-        let (res_tx, mut res_rx) = mpsc::<(usize, FleetAccum)>(workers);
-        let priming = AtomicUsize::new(workers);
-        let mut shards: Vec<Option<FleetAccum>> = (0..workers).map(|_| None).collect();
-        let mut elapsed_ns = 0u64;
-
-        std::thread::scope(|scope| {
-            for (w, slot) in worker_rx.iter_mut().enumerate() {
-                let mut rx = slot.take().expect("receiver consumed once");
-                let res_tx = res_tx.clone();
-                let priming = &priming;
-                let this = &*self;
-                scope.spawn(move || {
-                    // Priming = registering this worker's epoch readers
-                    // (one per router), hoisted out of the timed region
-                    // like the serving runtime's replica clones.
-                    let mut readers = this.readers();
-                    priming.fetch_sub(1, Ordering::Release);
-                    let mut acc = FleetAccum::new(links);
-                    loop {
-                        match rx.try_recv() {
-                            Ok(job) => {
-                                // Pin per job: the runtime's epoch
-                                // refresh at job boundaries.
-                                let guards: Vec<EpochGuard<'_, FleetRouter>> =
-                                    readers.iter_mut().map(|r| r.pin()).collect();
-                                this.route_range(&guards, job.lo, job.hi, &mut acc);
-                            }
-                            Err(TryRecvError::Empty) => std::thread::yield_now(),
-                            Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                    let mut msg = (w, acc);
-                    while let Err(back) = res_tx.try_send(msg) {
-                        msg = back;
-                        std::thread::yield_now();
-                    }
-                });
-            }
-            drop(res_tx);
-
-            let mut backoff = Backoff::new();
-            while priming.load(Ordering::Acquire) != 0 {
-                backoff.wait();
-            }
-            let t0 = Instant::now();
-            let mut lo = 0u64;
-            let mut w = 0usize;
-            while lo < flows as u64 {
-                let hi = (lo + batch).min(flows as u64);
-                let mut job = Job { lo, hi };
-                while let Err(back) = feeds[w].try_send(job) {
-                    job = back;
-                    std::thread::yield_now();
-                }
-                lo = hi;
-                w = (w + 1) % workers;
-            }
-            for tx in &mut feeds {
-                tx.close();
-            }
-            let mut done = 0;
-            backoff.reset();
-            while done < workers {
-                match res_rx.try_recv() {
-                    Ok((w, acc)) => {
-                        shards[w] = Some(acc);
-                        done += 1;
-                        backoff.reset();
-                    }
-                    Err(TryRecvError::Empty) => backoff.wait(),
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            }
-            elapsed_ns = t0.elapsed().as_nanos() as u64;
-        });
-
+        let run = drive(
+            workers,
+            ranges(flows as u64, 64),
+            // Priming = registering this worker's epoch readers (one
+            // per router), hoisted out of the timed region like the
+            // serving runtime's replica clones.
+            |_| (self.readers(), FleetAccum::new(links)),
+            |(readers, acc), (lo, hi)| {
+                // Pin per job: the runtime's epoch refresh at job
+                // boundaries.
+                let guards: Vec<EpochGuard<'_, FleetRouter>> =
+                    readers.iter_mut().map(|r| r.pin()).collect();
+                self.route_range(&guards, lo, hi, acc);
+            },
+        );
         let mut acc = FleetAccum::new(links);
-        for shard in shards {
-            acc.merge(&shard.expect("every worker reports exactly once"));
+        for (_, shard) in &run.results {
+            acc.merge(shard);
         }
-        FleetRunReport { stats: self.finish(acc), elapsed_ns, workers }
+        FleetRunReport { stats: self.finish(acc), elapsed_ns: run.elapsed_ns, workers }
     }
 
     /// Folds an accumulator into the reported statistics.
@@ -721,21 +650,19 @@ impl Fleet {
     pub fn run_churn(&self, config: &FleetChurnConfig) -> FleetChurnReport {
         let stop = AtomicBool::new(false);
         let links = self.link_from.len();
-        let (res_tx, mut res_rx) = mpsc::<FleetAccum>(config.workers.max(1));
 
         let mut events = 0u64;
         let mut republished = 0u64;
         let mut rebuild_ns = 0u64;
         let mut reclaimed = 0u64;
-        let mut shards: Vec<FleetAccum> = Vec::new();
 
-        std::thread::scope(|scope| {
+        let shards: Vec<FleetAccum> = std::thread::scope(|scope| {
+            let mut handles = Vec::with_capacity(config.workers.max(1));
             for w in 0..config.workers.max(1) {
-                let res_tx = res_tx.clone();
                 let stop = &stop;
                 let this = &*self;
                 let base = config.seed ^ (w as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F);
-                scope.spawn(move || {
+                handles.push(scope.spawn(move || {
                     let mut readers = this.readers();
                     let mut acc = FleetAccum::new(links);
                     let mut i = 0u64;
@@ -761,14 +688,9 @@ impl Fleet {
                             break;
                         }
                     }
-                    let mut msg = acc;
-                    while let Err(back) = res_tx.try_send(msg) {
-                        msg = back;
-                        std::thread::yield_now();
-                    }
-                });
+                    acc
+                }));
             }
-            drop(res_tx);
 
             // The builder runs on this thread: one mutable copy of the
             // address plan, events applied in sequence.
@@ -821,20 +743,7 @@ impl Fleet {
                 reclaimed += cell.reclaim() as u64;
             }
             stop.store(true, Ordering::Relaxed);
-
-            let mut backoff = Backoff::new();
-            let mut done = 0;
-            while done < config.workers.max(1) {
-                match res_rx.try_recv() {
-                    Ok(acc) => {
-                        shards.push(acc);
-                        done += 1;
-                        backoff.reset();
-                    }
-                    Err(TryRecvError::Empty) => backoff.wait(),
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            }
+            handles.into_iter().map(|h| h.join().expect("fleet churn worker panicked")).collect()
         });
 
         let mut acc = FleetAccum::new(links);

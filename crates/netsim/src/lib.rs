@@ -19,9 +19,9 @@
 //!   threads against a [`FrozenNetwork`], bit-identical for a given
 //!   seed regardless of thread count;
 //! * [`StrideNetwork`] / [`serve_lookups`] — the shared-nothing
-//!   multi-core serving runtime: per-core stride-engine replicas fed
-//!   over lock-free channels, bit-identical to the scalar reference at
-//!   any core count, with barrier-free epoch-churn propagation;
+//!   multi-core serving runtime: per-core stride-engine replicas on one
+//!   scoped job driver, bit-identical to the scalar reference at any
+//!   core count, with barrier-free epoch-churn propagation;
 //! * [`LabelSwitchedPath`] — the Figure 8 MPLS aggregation-point
 //!   scenario, plain vs label-as-clue-index hybrid;
 //! * [`PathVector`] — a BGP-like path-vector protocol run to
@@ -44,6 +44,7 @@
 
 pub mod adversary;
 mod churn;
+mod driver;
 mod faults;
 mod fleet;
 mod mpls_path;

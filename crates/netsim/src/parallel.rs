@@ -5,7 +5,8 @@
 //! freezes every engine into its read-only
 //! [`FrozenEngine`](clue_core::FrozenEngine) compilation
 //! ([`FrozenNetwork`]) and fans the packet stream out across OS threads
-//! with [`std::thread::scope`] — no locks, no new dependencies.
+//! on the crate's one scoped job driver — no locks, no new
+//! dependencies.
 //!
 //! ## The determinism-under-sharding contract
 //!
@@ -38,6 +39,7 @@ use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
+use crate::driver::drive;
 use crate::network::{Hop, HopRecord, Network, PathTrace};
 use crate::sim::RunStats;
 use crate::topology::RouterId;
@@ -306,32 +308,23 @@ impl<'n, A: Address, E: CompiledBackend<A>> PacketNetwork<'n, A, E> {
         assert!(!origins.is_empty(), "need at least one origin");
 
         let n = self.net.topology().len();
-        let chunk = packets.div_ceil(threads);
+        let run = drive(
+            threads,
+            shards(packets, threads),
+            |_| Accum::new(n),
+            |shard, (lo, hi)| {
+                for i in lo..hi {
+                    let (src, dest) = draw_packet(self.network(), sources, &origins, seed, i);
+                    shard.record(&self.route_packet(src, dest));
+                }
+            },
+        );
+        // Results come back in worker order: shard t covers packets
+        // [t·chunk, …), so a left-to-right merge is packet order.
         let mut acc = Accum::new(n);
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = (t * chunk).min(packets);
-                    let hi = ((t + 1) * chunk).min(packets);
-                    let (frozen, origins, sources) = (&*self, &origins, sources);
-                    scope.spawn(move || {
-                        let mut shard = Accum::new(n);
-                        for i in lo..hi {
-                            let (src, dest) =
-                                draw_packet(frozen.network(), sources, origins, seed, i as u64);
-                            shard.record(&frozen.route_packet(src, dest));
-                        }
-                        shard
-                    })
-                })
-                .collect();
-            // Join in spawn order: shard t covers packets
-            // [t·chunk, …), so a left-to-right merge is packet order.
-            for h in handles {
-                acc.merge(&h.join().expect("shard thread panicked"));
-            }
-        });
+        for shard in &run.results {
+            acc.merge(shard);
+        }
         acc.finish(packets)
     }
 }
@@ -360,40 +353,33 @@ impl<'n, A: Address> FrozenNetwork<'n, A> {
         assert!(!origins.is_empty(), "need at least one origin");
 
         let n = self.net.topology().len();
-        let chunk = packets.div_ceil(threads);
+        let run = drive(
+            threads,
+            shards(packets, threads),
+            |_| (Accum::new(n), StageProfiler::new()),
+            |(shard, shard_prof), (lo, hi)| {
+                for i in lo..hi {
+                    let (src, dest) = draw_packet(self.network(), sources, &origins, seed, i);
+                    shard.record(&self.route_packet_profiled(src, dest, shard_prof));
+                }
+            },
+        );
         let mut acc = Accum::new(n);
         let mut prof = StageProfiler::new();
-
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = (t * chunk).min(packets);
-                    let hi = ((t + 1) * chunk).min(packets);
-                    let (frozen, origins, sources) = (&*self, &origins, sources);
-                    scope.spawn(move || {
-                        let mut shard = Accum::new(n);
-                        let mut shard_prof = StageProfiler::new();
-                        for i in lo..hi {
-                            let (src, dest) =
-                                draw_packet(frozen.network(), sources, origins, seed, i as u64);
-                            shard.record(&frozen.route_packet_profiled(
-                                src,
-                                dest,
-                                &mut shard_prof,
-                            ));
-                        }
-                        (shard, shard_prof)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (shard, shard_prof) = h.join().expect("shard thread panicked");
-                acc.merge(&shard);
-                prof.merge(&shard_prof);
-            }
-        });
+        for (shard, shard_prof) in &run.results {
+            acc.merge(shard);
+            prof.merge(shard_prof);
+        }
         (acc.finish(packets), prof)
     }
+}
+
+/// One contiguous packet range per thread: thread `t` owns
+/// `[t·chunk, (t+1)·chunk)`, so worker order is packet order.
+fn shards(packets: usize, threads: usize) -> impl Iterator<Item = (u64, u64)> {
+    let chunk = packets.div_ceil(threads);
+    (0..threads)
+        .map(move |t| ((t * chunk).min(packets) as u64, ((t + 1) * chunk).min(packets) as u64))
 }
 
 /// SplitMix64 finalizer over a (seed, packet index) pair: the root of
@@ -430,7 +416,7 @@ pub(crate) fn draw_packet<A: Address>(
 /// Order-merged shard accumulator; integer-only so merge grouping
 /// cannot change the result — every field is a sum or a maximum, so
 /// the merge is commutative and associative, and *any* exactly-once
-/// partition of the packet stream (contiguous shards here, channel-fed
+/// partition of the packet stream (contiguous shards here, dealt
 /// batches in [`crate::runtime`]) folds to the same [`RunStats`].
 pub(crate) struct Accum {
     per_router: Vec<CostStats>,

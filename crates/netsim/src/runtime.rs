@@ -4,19 +4,23 @@
 //! shards one workload across scoped threads, but every shard still
 //! routes through the *shared* frozen engines and materialises a
 //! [`PathTrace`](crate::PathTrace) per packet. This module is the
-//! run-to-completion replacement (ROADMAP item 1, after flashroute's
-//! "mutex or rwlock free; all inter-task communications through
-//! message channels or atomic operations"):
+//! run-to-completion replacement, with no mutex, no rwlock and no
+//! message channel anywhere on the serving path:
 //!
-//! * **Per-core replicas.** Each worker owns a private clone of every
-//!   compiled [`StrideEngine`] it serves from ([`StrideEngine::replicate`]
-//!   detaches telemetry handles, so a replica shares not even an `Arc`
-//!   with its siblings). Replica priming happens before the timed
-//!   region and is reported separately ([`CoreStats::replica_clone_ns`]).
-//! * **Lock-free channels.** The dispatcher feeds each worker over its
-//!   own bounded SPSC ring ([`clue_core::channel::spsc`]); results
-//!   drain through one MPSC ring ([`clue_core::channel::mpsc`]). Full
-//!   and empty are yield-and-retry, never a lock.
+//! * **Per-core replicas.** Each worker owns a private replica of
+//!   every compiled engine it serves from
+//!   ([`CompiledBackend::replicate`] detaches telemetry handles; the
+//!   immutable arenas and hop tables are `Arc`-shared, so priming is a
+//!   handful of refcount bumps). Replica priming happens before the
+//!   timed region and is reported separately
+//!   ([`CoreStats::replica_clone_ns`]).
+//! * **One scoped job driver.** Every leg runs on the crate's one
+//!   driver: scoped threads, a barrier that starts the clock once every
+//!   replica is primed, and a join that returns per-worker results in
+//!   worker order. Jobs are dealt up front, job `k` to worker
+//!   `k % workers`, so there is no queue and no lock;
+//!   [`serve_lookups`] deals `out` itself in `batch`-sized chunks and
+//!   each worker writes its decisions in place.
 //! * **Deterministic partitioning.** Jobs are contiguous packet-index
 //!   ranges and every packet derives its own SplitMix64 RNG stream
 //!   from its index, so what a worker computes is independent of which
@@ -52,19 +56,18 @@
 //! what the FIB walk resolves while both charge nothing, and lane
 //! order only permutes commutative accumulator merges.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use clue_core::channel::{mpsc, spsc, MpscSender, SpscReceiver, TryRecvError};
 use clue_core::{
     BackendError, ClueHeader, CompiledBackend, CompressedEngine, Decision, EngineStats, EpochCell,
-    PreparedLookup, QuarantineGate, StrideConfig, StrideEngine, StrideError, DEFAULT_INTERLEAVE,
-    NO_TAG,
+    EpochReader, PreparedLookup, QuarantineGate, StrideConfig, StrideEngine, StrideError,
+    DEFAULT_INTERLEAVE, NO_TAG,
 };
 use clue_telemetry::RuntimeTelemetry;
 use clue_trie::{Address, Cost, Prefix};
 
+use crate::driver::{drive, ranges};
 use crate::network::{Hop, Network};
 use crate::parallel::{draw_packet, Accum};
 use crate::sim::RunStats;
@@ -81,16 +84,12 @@ pub fn available_workers() -> usize {
 pub struct RuntimeConfig {
     /// Worker cores (default: [`available_workers`]).
     pub workers: usize,
-    /// Packets per job — the unit of channel traffic and of replica
-    /// refresh (churn is observed at job boundaries).
+    /// Packets per job — the unit of work dealt to a worker and of
+    /// replica refresh (churn is observed at job boundaries).
     pub batch: usize,
-    /// SPSC feed depth in jobs.
-    pub depth: usize,
     /// Interleave group for the workers' prefetched batch loops
     /// (engine serving only; `<= 1` disables prefetch).
     pub prefetch: usize,
-    /// Stride shape for [`StrideNetwork::freeze`].
-    pub stride: StrideConfig,
     /// Reputation-layer quarantine switch for the served link. Workers
     /// read it once per job at the epoch-refresh boundary: while
     /// engaged, the job is served entirely clue-less — the hot path
@@ -104,9 +103,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             workers: available_workers(),
             batch: 512,
-            depth: 64,
             prefetch: DEFAULT_INTERLEAVE,
-            stride: StrideConfig::default(),
             gate: None,
         }
     }
@@ -127,9 +124,10 @@ pub struct CoreStats {
     pub worker: usize,
     /// Packets this core served.
     pub packets: u64,
-    /// Jobs this core pulled off its feed.
+    /// Jobs this core served.
     pub batches: u64,
-    /// Nanoseconds spent inside lookups (excludes channel polling).
+    /// Nanoseconds spent inside lookups (excludes priming and replica
+    /// refreshes).
     pub busy_ns: u64,
     /// Replica clones: the priming clone plus one per observed epoch
     /// publish.
@@ -138,8 +136,8 @@ pub struct CoreStats {
     pub replica_clone_ns: u64,
     /// Worst epochs-behind-the-writer this core served a batch at.
     pub max_staleness: u64,
-    /// Channel polls that found the feed empty (or the drain full) and
-    /// yielded.
+    /// Always 0: jobs are dealt up front, so no worker ever waits on
+    /// a full or empty queue. Kept so readers of the field still build.
     pub backpressure: u64,
 }
 
@@ -148,8 +146,8 @@ pub struct CoreStats {
 /// attribution.
 #[derive(Debug, Clone)]
 pub struct RuntimeReport {
-    /// Nanoseconds from "every replica primed" to "every result
-    /// drained" — the steady-state serving time.
+    /// Nanoseconds from "every replica primed" to "every worker
+    /// joined" — the steady-state serving time.
     pub elapsed_ns: u64,
     /// Total nanoseconds workers spent priming their replicas, all of
     /// it **outside** the timed region.
@@ -173,50 +171,17 @@ impl RuntimeReport {
 
     /// Flushes this report into a telemetry bundle.
     pub fn record(&self, t: &RuntimeTelemetry) {
-        t.workers.set(self.cores.len() as f64);
-        for c in &self.cores {
-            t.record_core(c.packets, c.batches, c.replica_clones, c.backpressure);
-            t.replica_clone_us.observe(c.replica_clone_ns / 1_000);
-        }
+        record_cores(&self.cores, t);
     }
 }
 
-/// A contiguous range of packet (or slice) indices — the unit of work
-/// on the SPSC feeds.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Job {
-    pub(crate) lo: u64,
-    pub(crate) hi: u64,
-}
-
-/// Idle backoff for the *coordinator* (dispatcher/collector) thread
-/// only: a couple of yields for low latency, then short sleeps so an
-/// oversubscribed core (more workers than hardware threads) is not
-/// robbed of scheduler quanta by a spinning coordinator. Workers keep
-/// plain `yield_now` — their feeds are primed deep, so they rarely
-/// poll empty, and job latency matters there.
-pub(crate) struct Backoff {
-    idle: u32,
-}
-
-impl Backoff {
-    pub(crate) fn new() -> Self {
-        Backoff { idle: 0 }
-    }
-
-    /// Called when a poll made progress.
-    pub(crate) fn reset(&mut self) {
-        self.idle = 0;
-    }
-
-    /// Called when a poll found nothing to do.
-    pub(crate) fn wait(&mut self) {
-        self.idle += 1;
-        if self.idle <= 3 {
-            std::thread::yield_now();
-        } else {
-            std::thread::sleep(Duration::from_micros(50));
-        }
+/// Flushes per-core attribution into a telemetry bundle — shared by
+/// the network and the engine-serving legs.
+fn record_cores(cores: &[CoreStats], t: &RuntimeTelemetry) {
+    t.workers.set(cores.len() as f64);
+    for c in cores {
+        t.record_core(c.packets, c.batches, c.replica_clones, c.busy_ns);
+        t.replica_clone_us.observe(c.replica_clone_ns / 1_000);
     }
 }
 
@@ -459,8 +424,8 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         self.net
     }
 
-    /// Routes `packets` random packets through the channel-fed
-    /// multi-core runtime. Bit-identical to
+    /// Routes `packets` random packets through the multi-core
+    /// runtime. Bit-identical to
     /// [`run_workload_per_packet`](crate::run_workload_per_packet) for
     /// the same seed at any worker count.
     ///
@@ -495,117 +460,39 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
         assert!(!sources.is_empty(), "need at least one source");
         let origins = self.net.config().origins.clone();
         assert!(!origins.is_empty(), "need at least one origin");
-        let workers = config.workers.max(1);
-        let batch = config.batch.max(1);
         let n = self.net.topology().len();
-
-        let mut feeds = Vec::with_capacity(workers);
-        let mut worker_rx: Vec<Option<SpscReceiver<Job>>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = spsc::<Job>(config.depth.max(1));
-            feeds.push(tx);
-            worker_rx.push(Some(rx));
-        }
-        let (res_tx, mut res_rx) = mpsc::<(usize, Accum, CoreStats)>(workers);
-        let priming = AtomicUsize::new(workers);
-
-        let mut shards: Vec<Option<(Accum, CoreStats)>> = (0..workers).map(|_| None).collect();
-        let mut elapsed_ns = 0u64;
-
-        std::thread::scope(|scope| {
-            for (w, slot) in worker_rx.iter_mut().enumerate() {
-                let mut rx = slot.take().expect("receiver consumed once");
-                let res_tx = res_tx.clone();
-                let priming = &priming;
-                let (this, origins, sources) = (&*self, &origins, sources);
-                scope.spawn(move || {
-                    let t0 = Instant::now();
-                    let replicas: Vec<CompiledRouter<A, E>> =
-                        this.routers.iter().map(CompiledRouter::replicate).collect();
-                    let mut stats = CoreStats {
-                        worker: w,
-                        replica_clones: 1,
-                        replica_clone_ns: t0.elapsed().as_nanos() as u64,
-                        ..CoreStats::default()
-                    };
-                    priming.fetch_sub(1, Ordering::Release);
-                    let mut acc = Accum::new(n);
-                    loop {
-                        match rx.try_recv() {
-                            Ok(job) => {
-                                let t = Instant::now();
-                                route_job_into(
-                                    this.net, &replicas, sources, origins, seed, job.lo, job.hi,
-                                    &mut acc,
-                                );
-                                stats.busy_ns += t.elapsed().as_nanos() as u64;
-                                stats.packets += job.hi - job.lo;
-                                stats.batches += 1;
-                            }
-                            Err(TryRecvError::Empty) => {
-                                stats.backpressure += 1;
-                                std::thread::yield_now();
-                            }
-                            Err(TryRecvError::Disconnected) => break,
-                        }
-                    }
-                    let mut msg = (w, acc, stats);
-                    while let Err(back) = res_tx.try_send(msg) {
-                        msg = back;
-                        std::thread::yield_now();
-                    }
-                });
-            }
-            drop(res_tx);
-
-            // Replica priming is setup, not serving: wait it out, then
-            // start the clock.
-            let mut backoff = Backoff::new();
-            while priming.load(Ordering::Acquire) != 0 {
-                backoff.wait();
-            }
-            let t0 = Instant::now();
-            let mut lo = 0u64;
-            let mut w = 0usize;
-            while lo < packets as u64 {
-                let hi = (lo + batch as u64).min(packets as u64);
-                let mut job = Job { lo, hi };
-                while let Err(back) = feeds[w].try_send(job) {
-                    job = back;
-                    std::thread::yield_now();
-                }
-                lo = hi;
-                w = (w + 1) % workers;
-            }
-            for tx in &mut feeds {
-                tx.close();
-            }
-            let mut done = 0;
-            backoff.reset();
-            while done < workers {
-                match res_rx.try_recv() {
-                    Ok((w, acc, stats)) => {
-                        shards[w] = Some((acc, stats));
-                        done += 1;
-                        backoff.reset();
-                    }
-                    Err(TryRecvError::Empty) => backoff.wait(),
-                    Err(TryRecvError::Disconnected) => break,
-                }
-            }
-            elapsed_ns = t0.elapsed().as_nanos() as u64;
-        });
+        let run = drive(
+            config.workers,
+            ranges(packets as u64, config.batch as u64),
+            |w| {
+                let t0 = Instant::now();
+                let replicas: Vec<CompiledRouter<A, E>> =
+                    self.routers.iter().map(CompiledRouter::replicate).collect();
+                let stats = CoreStats {
+                    worker: w,
+                    replica_clones: 1,
+                    replica_clone_ns: t0.elapsed().as_nanos() as u64,
+                    ..CoreStats::default()
+                };
+                (replicas, stats, Accum::new(n))
+            },
+            |(replicas, stats, acc), (lo, hi)| {
+                let t = Instant::now();
+                route_job_into(self.net, replicas, sources, &origins, seed, lo, hi, acc);
+                stats.busy_ns += t.elapsed().as_nanos() as u64;
+                stats.packets += hi - lo;
+                stats.batches += 1;
+            },
+        );
 
         let mut acc = Accum::new(n);
-        let mut cores = Vec::with_capacity(workers);
-        let mut clone_ns = 0u64;
-        for shard in shards {
-            let (a, c) = shard.expect("every worker reports exactly once");
+        let mut cores = Vec::with_capacity(run.results.len());
+        for (_, c, a) in run.results {
             acc.merge(&a);
-            clone_ns += c.replica_clone_ns;
             cores.push(c);
         }
-        let report = RuntimeReport { elapsed_ns, replica_clone_ns: clone_ns, cores };
+        let replica_clone_ns = cores.iter().map(|c| c.replica_clone_ns).sum();
+        let report = RuntimeReport { elapsed_ns: run.elapsed_ns, replica_clone_ns, cores };
         if let Some(t) = telemetry {
             report.record(t);
         }
@@ -807,8 +694,8 @@ fn route_job_into<A: Address, E: CompiledBackend<A>>(
 pub struct ServeReport {
     /// Packets served.
     pub packets: u64,
-    /// Nanoseconds from "every replica primed" to "every result
-    /// reassembled".
+    /// Nanoseconds from "every replica primed" to "every worker
+    /// joined".
     pub elapsed_ns: u64,
     /// Total priming-clone nanoseconds, outside the timed region
     /// (mid-run refresh clones are inside it, attributed per core).
@@ -832,29 +719,21 @@ impl ServeReport {
     }
 }
 
-/// A worker → collector message on the result drain.
-enum ServeMsg<A: Address> {
-    /// One served job: decisions for `dests[base .. base + len]`.
-    Batch { base: usize, decisions: Vec<Decision<A>> },
-    /// The worker's feed closed and it is done.
-    Done { worker: usize, stats: CoreStats, classes: EngineStats },
-}
-
 /// Serves one batch workload from an [`EpochCell`] across per-core
 /// engine replicas — the engine-level serving loop, generic over any
 /// [`CompiledBackend`] (stride by default; the compressed backend
 /// drops in unchanged).
 ///
-/// Each worker registers an [`clue_core::EpochReader`], clones a
-/// private replica from the pinned snapshot (priming, outside the
-/// timed region), then pulls jobs off its SPSC feed, runs the
-/// prefetched batch lookup on its replica and ships the decisions back
-/// over the MPSC drain, where they are reassembled by base offset into
-/// `out`. At every job boundary the worker compares its replica's
-/// epoch with the cell's: a newer publish triggers a re-pin and
-/// re-clone — churn propagates to every core without any barrier, and
-/// the observed lag lands in [`CoreStats::max_staleness`] (and the
-/// `staleness_epochs` histogram when telemetry is attached).
+/// `out` is resized to `dests.len()` and split into `batch`-sized
+/// chunks; chunk `k` is worker `k % workers`'s job. Each worker
+/// registers an [`clue_core::EpochReader`], clones a private replica
+/// from the pinned snapshot (priming, outside the timed region), then
+/// runs the prefetched batch lookup on its replica straight into its
+/// own chunks of `out`. At every job boundary the worker compares its
+/// replica's epoch with the cell's: a newer publish triggers a re-pin
+/// and re-clone — churn propagates to every core without any barrier,
+/// and the observed lag lands in [`CoreStats::max_staleness`] (and
+/// the `staleness_epochs` histogram when telemetry is attached).
 ///
 /// With no concurrent publish the decisions are exactly
 /// `engine.lookup_batch` of the same inputs, independent of worker
@@ -871,230 +750,125 @@ pub fn serve_lookups<A: Address, E: CompiledBackend<A>>(
     telemetry: Option<&RuntimeTelemetry>,
 ) -> ServeReport {
     assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
-    let workers = config.workers.max(1);
     let batch = config.batch.max(1);
-    let prefetch = config.prefetch;
+    let gate = config.gate.as_deref();
     out.clear();
     out.resize(dests.len(), Decision::default());
 
-    let mut feeds = Vec::with_capacity(workers);
-    let mut worker_rx: Vec<Option<SpscReceiver<Job>>> = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = spsc::<Job>(config.depth.max(1));
-        feeds.push(tx);
-        worker_rx.push(Some(rx));
-    }
-    let (res_tx, mut res_rx) = mpsc::<ServeMsg<A>>(workers * config.depth.max(1));
-    let priming = AtomicUsize::new(workers);
+    let run = drive(
+        config.workers,
+        out.chunks_mut(batch).enumerate(),
+        |w| ServeCore::prime(cell, w, batch),
+        |core, (k, chunk)| {
+            let lo = k * batch;
+            let hi = lo + chunk.len();
+            core.serve(&dests[lo..hi], &clues[lo..hi], chunk, config.prefetch, gate, telemetry);
+        },
+    );
 
-    let mut cores: Vec<Option<CoreStats>> = (0..workers).map(|_| None).collect();
     let mut classes = EngineStats::default();
-    let mut elapsed_ns = 0u64;
-
-    std::thread::scope(|scope| {
-        for (w, slot) in worker_rx.iter_mut().enumerate() {
-            let mut rx = slot.take().expect("receiver consumed once");
-            let res_tx = res_tx.clone();
-            let priming = &priming;
-            let gate = config.gate.as_deref();
-            scope.spawn(move || {
-                serve_worker(
-                    cell, dests, clues, w, &mut rx, &res_tx, priming, batch, prefetch, gate,
-                    telemetry,
-                );
-            });
-        }
-        drop(res_tx);
-
-        let mut backoff = Backoff::new();
-        while priming.load(Ordering::Acquire) != 0 {
-            backoff.wait();
-        }
-        let t0 = Instant::now();
-
-        // Dispatch and drain from the same thread: push jobs while the
-        // feeds take them, reassemble whatever has already drained in
-        // between — the collector never sleeps on a full feed.
-        if dests.is_empty() {
-            for tx in &mut feeds {
-                tx.close();
-            }
-        }
-        let mut lo = 0u64;
-        let mut w = 0usize;
-        let mut done = 0usize;
-        backoff.reset();
-        while done < workers {
-            let mut progressed = false;
-            if lo < dests.len() as u64 {
-                let hi = (lo + batch as u64).min(dests.len() as u64);
-                if feeds[w].try_send(Job { lo, hi }).is_ok() {
-                    lo = hi;
-                    w = (w + 1) % workers;
-                    progressed = true;
-                    if lo == dests.len() as u64 {
-                        for tx in &mut feeds {
-                            tx.close();
-                        }
-                    }
-                }
-            }
-            loop {
-                match res_rx.try_recv() {
-                    Ok(ServeMsg::Batch { base, decisions }) => {
-                        out[base..base + decisions.len()].copy_from_slice(&decisions);
-                        progressed = true;
-                    }
-                    Ok(ServeMsg::Done { worker, stats, classes: c }) => {
-                        cores[worker] = Some(stats);
-                        classes.merge(&c);
-                        done += 1;
-                        progressed = true;
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        done = workers;
-                        break;
-                    }
-                }
-            }
-            if progressed {
-                backoff.reset();
-            } else {
-                backoff.wait();
-            }
-        }
-        elapsed_ns = t0.elapsed().as_nanos() as u64;
-    });
-
-    let cores: Vec<CoreStats> =
-        cores.into_iter().map(|c| c.expect("every worker reports exactly once")).collect();
-    let replica_clone_ns = cores.iter().map(|c| c.replica_clone_ns).sum();
+    let mut cores = Vec::with_capacity(run.results.len());
+    for core in run.results {
+        classes.merge(&core.classes);
+        cores.push(core.stats);
+    }
     let report = ServeReport {
         packets: dests.len() as u64,
-        elapsed_ns,
-        replica_clone_ns,
+        elapsed_ns: run.elapsed_ns,
+        replica_clone_ns: cores.iter().map(|c| c.replica_clone_ns).sum(),
         stats: classes,
         cores,
     };
     if let Some(t) = telemetry {
-        t.workers.set(workers as f64);
-        for c in &report.cores {
-            t.record_core(c.packets, c.batches, c.replica_clones, c.backpressure);
-            t.replica_clone_us.observe(c.replica_clone_ns / 1_000);
-        }
+        record_cores(&report.cores, t);
     }
     report
 }
 
-/// One serving core: private replica, epoch-refresh at job boundaries,
-/// batch lookups, results shipped back over the drain.
-#[allow(clippy::too_many_arguments)]
-fn serve_worker<A: Address, E: CompiledBackend<A>>(
-    cell: &EpochCell<E>,
-    dests: &[A],
-    clues: &[Option<Prefix<A>>],
-    w: usize,
-    rx: &mut SpscReceiver<Job>,
-    res_tx: &MpscSender<ServeMsg<A>>,
-    priming: &AtomicUsize,
-    batch: usize,
-    prefetch: usize,
-    gate: Option<&QuarantineGate>,
-    telemetry: Option<&RuntimeTelemetry>,
-) {
-    let mut reader = cell.reader();
-    let t0 = Instant::now();
-    let (mut replica, mut epoch) = {
-        let guard = reader.pin();
-        (guard.replicate(), guard.epoch())
-    };
-    let mut stats = CoreStats {
-        worker: w,
-        replica_clones: 1,
-        replica_clone_ns: t0.elapsed().as_nanos() as u64,
-        ..CoreStats::default()
-    };
-    priming.fetch_sub(1, Ordering::Release);
+/// One serving core's private state: its epoch reader, the replica it
+/// serves from and its attribution.
+struct ServeCore<'c, A: Address, E> {
+    reader: EpochReader<'c, E>,
+    replica: E,
+    epoch: u64,
+    stats: CoreStats,
+    classes: EngineStats,
+    /// Quarantine substitution buffer: sized once, reused every gated
+    /// job, so engaging the gate allocates nothing on the hot path.
+    no_clues: Vec<Option<Prefix<A>>>,
+}
 
-    let mut classes = EngineStats::default();
-    let mut decisions: Vec<Decision<A>> = Vec::with_capacity(batch);
-    // Quarantine substitution buffer: sized once, reused every gated
-    // job, so engaging the gate allocates nothing on the hot path.
-    let no_clues: Vec<Option<Prefix<A>>> = vec![None; batch];
-    loop {
-        match rx.try_recv() {
-            Ok(job) => {
-                // Churn propagation, no barrier: a publish since this
-                // replica was cloned is observed here, at the job
-                // boundary, by this core alone.
-                let current = reader.current_epoch();
-                if current != epoch {
-                    let staleness = current.saturating_sub(epoch);
-                    stats.max_staleness = stats.max_staleness.max(staleness);
-                    if let Some(t) = telemetry {
-                        t.staleness_epochs.observe(staleness);
-                    }
-                    let t = Instant::now();
-                    let guard = reader.pin();
-                    replica = guard.replicate();
-                    epoch = guard.epoch();
-                    let ns = t.elapsed().as_nanos() as u64;
-                    stats.replica_clones += 1;
-                    stats.replica_clone_ns += ns;
-                    if let Some(t) = telemetry {
-                        t.replica_clone_us.observe(ns / 1_000);
-                    }
-                } else if let Some(t) = telemetry {
-                    t.staleness_epochs.observe(0);
-                }
-                let (lo, hi) = (job.lo as usize, job.hi as usize);
-                // The quarantine switch, observed per job like churn:
-                // while the reputation layer holds the gate engaged,
-                // this batch serves clue-less — same engine, same
-                // decisions (soundness), no clue-table probes.
-                let job_clues = match gate {
-                    Some(g) if g.is_engaged() => &no_clues[..hi - lo],
-                    _ => &clues[lo..hi],
-                };
-                let t = Instant::now();
-                decisions.clear();
-                decisions.resize(hi - lo, Decision::default());
-                let s = replica.lookup_batch_interleaved(
-                    &dests[lo..hi],
-                    job_clues,
-                    &mut decisions,
-                    prefetch,
-                );
-                stats.busy_ns += t.elapsed().as_nanos() as u64;
-                classes.merge(&s);
-                stats.packets += (hi - lo) as u64;
-                stats.batches += 1;
-                let mut msg =
-                    ServeMsg::Batch { base: lo, decisions: std::mem::take(&mut decisions) };
-                loop {
-                    match res_tx.try_send(msg) {
-                        Ok(()) => break,
-                        Err(back) => {
-                            msg = back;
-                            stats.backpressure += 1;
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                decisions = Vec::with_capacity(batch);
-            }
-            Err(TryRecvError::Empty) => {
-                stats.backpressure += 1;
-                std::thread::yield_now();
-            }
-            Err(TryRecvError::Disconnected) => break,
+impl<'c, A: Address, E: CompiledBackend<A>> ServeCore<'c, A, E> {
+    /// Registers a reader and clones the priming replica.
+    fn prime(cell: &'c EpochCell<E>, worker: usize, batch: usize) -> Self {
+        let mut reader = cell.reader();
+        let t0 = Instant::now();
+        let (replica, epoch) = {
+            let guard = reader.pin();
+            (guard.replicate(), guard.epoch())
+        };
+        let stats = CoreStats {
+            worker,
+            replica_clones: 1,
+            replica_clone_ns: t0.elapsed().as_nanos() as u64,
+            ..CoreStats::default()
+        };
+        ServeCore {
+            reader,
+            replica,
+            epoch,
+            stats,
+            classes: EngineStats::default(),
+            no_clues: vec![None; batch],
         }
     }
-    let mut msg = ServeMsg::Done { worker: w, stats, classes };
-    while let Err(back) = res_tx.try_send(msg) {
-        msg = back;
-        std::thread::yield_now();
+
+    /// Serves one job into `out`, first picking up any publish since
+    /// the replica was cloned.
+    fn serve(
+        &mut self,
+        dests: &[A],
+        clues: &[Option<Prefix<A>>],
+        out: &mut [Decision<A>],
+        prefetch: usize,
+        gate: Option<&QuarantineGate>,
+        telemetry: Option<&RuntimeTelemetry>,
+    ) {
+        // Churn propagation, no barrier: a publish since this replica
+        // was cloned is observed here, at the job boundary, by this
+        // core alone.
+        let current = self.reader.current_epoch();
+        let staleness = current.saturating_sub(self.epoch);
+        if let Some(t) = telemetry {
+            t.staleness_epochs.observe(staleness);
+        }
+        if current != self.epoch {
+            self.stats.max_staleness = self.stats.max_staleness.max(staleness);
+            let t = Instant::now();
+            let guard = self.reader.pin();
+            self.replica = guard.replicate();
+            self.epoch = guard.epoch();
+            let ns = t.elapsed().as_nanos() as u64;
+            self.stats.replica_clones += 1;
+            self.stats.replica_clone_ns += ns;
+            if let Some(t) = telemetry {
+                t.replica_clone_us.observe(ns / 1_000);
+            }
+        }
+        // The quarantine switch, observed per job like churn: while
+        // the reputation layer holds the gate engaged, this batch
+        // serves clue-less — same engine, same decisions (soundness),
+        // no clue-table probes.
+        let clues = match gate {
+            Some(g) if g.is_engaged() => &self.no_clues[..dests.len()],
+            _ => clues,
+        };
+        let t = Instant::now();
+        let s = self.replica.lookup_batch_interleaved(dests, clues, out, prefetch);
+        self.stats.busy_ns += t.elapsed().as_nanos() as u64;
+        self.classes.merge(&s);
+        self.stats.packets += dests.len() as u64;
+        self.stats.batches += 1;
     }
 }
 
@@ -1221,19 +995,87 @@ mod tests {
     fn serving_matches_the_plain_batch_lookup() {
         let (engine, dests, clues) = engine_fixture();
         let stride = engine.freeze_stride(StrideConfig::default()).unwrap();
-        let (want, want_stats) = stride.lookup_batch_vec(&dests, &clues);
-        let cell = EpochCell::new(stride);
-        for workers in [1, 2, 4] {
-            let cfg = RuntimeConfig { workers, batch: 128, ..RuntimeConfig::default() };
+        let cell = EpochCell::new(stride.replicate());
+        // (packets, workers, batch): the fixture at 1/2/4 workers, then
+        // the driver's edge shapes — no packets; one packet over 8
+        // workers, so 7 get no job; a length that is not a multiple of
+        // the batch; batch 1.
+        let n = dests.len();
+        let shapes = [
+            (n, 1, 128),
+            (n, 2, 128),
+            (n, 4, 128),
+            (0, 4, 128),
+            (1, 8, 128),
+            (1000, 3, 96),
+            (37, 4, 1),
+        ];
+        for (len, workers, batch) in shapes {
+            let (dests, clues) = (&dests[..len], &clues[..len]);
+            let (want, want_stats) = stride.lookup_batch_vec(dests, clues);
+            let cfg = RuntimeConfig { workers, batch, ..RuntimeConfig::default() };
             let mut got = Vec::new();
-            let report = serve_lookups(&cell, &dests, &clues, &mut got, &cfg, None);
-            assert_eq!(got, want, "decisions at {workers} workers");
-            assert_eq!(report.stats, want_stats, "class counts at {workers} workers");
-            assert_eq!(report.packets, dests.len() as u64);
-            let attributed: u64 = report.cores.iter().map(|c| c.packets).sum();
-            assert_eq!(attributed, dests.len() as u64);
+            let report = serve_lookups(&cell, dests, clues, &mut got, &cfg, None);
+            let shape = format!("{len} packets, {workers} workers, batch {batch}");
+            assert_eq!(got, want, "decisions: {shape}");
+            assert_eq!(report.stats, want_stats, "class counts: {shape}");
+            assert_eq!(report.packets, len as u64);
+            // Job k covers packets [k·batch, …) and goes to worker
+            // k % workers.
+            let mut share = vec![0u64; workers];
+            for (k, lo) in (0..len).step_by(batch).enumerate() {
+                share[k % workers] += (len - lo).min(batch) as u64;
+            }
+            let packets: Vec<u64> = report.cores.iter().map(|c| c.packets).collect();
+            assert_eq!(packets, share, "round-robin share: {shape}");
             assert_eq!(report.cores.iter().map(|c| c.max_staleness).max(), Some(0));
         }
+    }
+
+    #[test]
+    fn ipv6_serving_matches_the_plain_batch_lookup() {
+        use clue_core::CompressedConfig;
+        use clue_tablegen::{
+            derive_neighbor, generate, synthesize_ipv6, NeighborConfig, TrafficConfig,
+        };
+        use clue_trie::{BinaryTrie, Ip6};
+        let sender = synthesize_ipv6(1500, 403);
+        let receiver = derive_neighbor(&sender, &NeighborConfig::same_isp(404));
+        let traffic = TrafficConfig { count: 2000, ..TrafficConfig::paper(501) };
+        let dests = generate(&sender, &receiver, &traffic);
+        let sender_fib: BinaryTrie<Ip6, ()> = sender.iter().map(|&p| (p, ())).collect();
+        let clues: Vec<Option<Prefix<Ip6>>> =
+            dests.iter().map(|&d| sender_fib.lookup(d).map(|r| sender_fib.prefix(r))).collect();
+        let engine = ClueEngine::precomputed(
+            &sender,
+            &receiver,
+            EngineConfig::new(Family::Regular, Method::Advance),
+        )
+        .freeze_compressed(CompressedConfig)
+        .unwrap();
+        let (want, want_stats) = engine.lookup_batch_vec(&dests, &clues);
+        let none: Vec<Option<Prefix<Ip6>>> = vec![None; dests.len()];
+        let (want_gated, want_gated_stats) = engine.lookup_batch_vec(&dests, &none);
+        let cell = EpochCell::new(engine);
+        let gate = std::sync::Arc::new(QuarantineGate::default());
+        for workers in [1, 2, 4] {
+            let cfg = RuntimeConfig {
+                workers,
+                batch: 128,
+                gate: Some(gate.clone()),
+                ..RuntimeConfig::default()
+            };
+            let mut got = Vec::new();
+            let report = serve_lookups(&cell, &dests, &clues, &mut got, &cfg, None);
+            assert_eq!(got, want, "IPv6 decisions at {workers} workers");
+            assert_eq!(report.stats, want_stats, "IPv6 class counts at {workers} workers");
+            gate.engage();
+            let report = serve_lookups(&cell, &dests, &clues, &mut got, &cfg, None);
+            assert_eq!(got, want_gated, "gated IPv6 decisions at {workers} workers");
+            assert_eq!(report.stats, want_gated_stats, "gated IPv6 counts at {workers} workers");
+            gate.lift();
+        }
+        assert!(want_stats.finals > 0, "the IPv6 fixture exercises clued lookups");
     }
 
     #[test]

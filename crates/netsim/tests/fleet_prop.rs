@@ -2,9 +2,11 @@
 //! arbitrary connected topologies, the all-pairs BFS [`RouteTree`]s and
 //! ECMP DAGs must be loop-free and hop-minimal, and the per-flow
 //! hashed ECMP choice must be stable under router renumbering — the
-//! invariant the fleet's deterministic packet leg leans on.
+//! invariant the fleet's deterministic packet leg leans on. The packet
+//! leg itself is checked bit-identical to its sequential reference
+//! when there are fewer flows than jobs to go round.
 
-use clue_netsim::Topology;
+use clue_netsim::{Fleet, FleetConfig, Topology};
 use proptest::prelude::*;
 
 const MAX_N: usize = 40;
@@ -130,6 +132,23 @@ proptest! {
                     prop_assert_eq!(&p1, &p2, "renumbering changed the flow path");
                 }
             }
+        }
+    }
+}
+
+/// Fewer flows than 64 × workers: the 64-flow jobs leave some workers
+/// with one short job or none at all, and the sharded run must still
+/// match the sequential reference bit for bit.
+#[test]
+fn sparse_flow_runs_match_the_sequential_reference() {
+    let mut config = FleetConfig::new(64, 11);
+    config.origins = 8;
+    config.specifics_per_origin = 4;
+    let fleet = Fleet::build(config).unwrap();
+    for workers in [2, 4, 8] {
+        for flows in [0, 1, 63, 65, 64 * workers - 1] {
+            let got = fleet.run_flows(flows, workers).stats;
+            assert_eq!(got, fleet.run_flows_sequential(flows), "{flows} flows, {workers} workers");
         }
     }
 }

@@ -28,7 +28,7 @@ fn method(ix: u8) -> Method {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Channel-fed multi-core routing folds to the same [`RunStats`]
+    /// Multi-core routing folds to the same [`RunStats`]
     /// as the scalar walk, bit for bit, regardless of worker count or
     /// batch size.
     #[test]

@@ -41,7 +41,8 @@ pub struct DegradationTelemetry {
     pub reader_panics_total: Counter,
     /// Rebuilds whose freeze exceeded the watchdog budget.
     pub watchdog_trips_total: Counter,
-    /// Backoff-then-retry cycles the watchdog scheduled after a trip.
+    /// Retry cycles (each after a backoff) the watchdog scheduled
+    /// after a trip.
     pub backoff_retries_total: Counter,
     /// Recoveries: rebuilds that succeeded within budget after at
     /// least one watchdog trip, plus deferred convergence publishes.
@@ -119,7 +120,7 @@ impl DegradationTelemetry {
             ),
             backoff_retries_total: registry.counter(
                 &format!("{prefix}_backoff_retries_total"),
-                "Backoff-then-retry cycles after a watchdog trip",
+                "Retry-after-backoff cycles after a watchdog trip",
             ),
             recoveries_total: registry.counter(
                 &format!("{prefix}_recoveries_total"),

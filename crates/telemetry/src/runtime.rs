@@ -1,14 +1,14 @@
 //! Metric bundle for the shared-nothing multi-core serving runtime.
 //!
-//! The runtime's hot loop is channels and per-core private state — no
+//! The runtime's hot loop touches only per-core private state — no
 //! shared registry cell is touched per packet. Workers accumulate
-//! plain integers locally and flush them into this bundle once per
-//! batch (counters are sharded cells, so even the flushes from
+//! plain integers locally and flush them into this bundle when a run
+//! ends (counters are sharded cells, so even the flushes from
 //! different cores do not contend on one cache line). The bundle
 //! therefore answers the operator questions — how many cores ran, how
-//! much they served, how often replicas were re-cloned after an epoch
-//! publish, how stale the cores ran, and how often the feed backed up
-//! — without taxing the loop it observes.
+//! much they served, how long they spent inside lookups, how often
+//! replicas were re-cloned after an epoch publish and how stale the
+//! cores ran — without taxing the loop it observes.
 
 use crate::registry::{Counter, Gauge, Histogram, Registry};
 
@@ -24,7 +24,7 @@ const STALENESS_BOUNDS: [u64; 6] = [0, 1, 2, 4, 8, 16];
 pub struct RuntimeTelemetry {
     /// Worker cores in the most recent run.
     pub workers: Gauge,
-    /// Packet batches pulled off the worker channels.
+    /// Packet batches (jobs) served by worker cores.
     pub batches_total: Counter,
     /// Packets served by worker cores.
     pub packets_total: Counter,
@@ -35,9 +35,9 @@ pub struct RuntimeTelemetry {
     /// Epoch staleness observed per served batch (epochs behind the
     /// writer; 0 = current snapshot).
     pub staleness_epochs: Histogram,
-    /// Send/receive attempts that found a channel full or empty and
-    /// had to yield — the backpressure signal.
-    pub backpressure_total: Counter,
+    /// Microseconds worker cores spent inside lookups, summed over
+    /// cores; over the run's wall clock it gives per-core utilization.
+    pub busy_us_total: Counter,
 }
 
 impl Default for RuntimeTelemetry {
@@ -49,7 +49,7 @@ impl Default for RuntimeTelemetry {
             replica_clones_total: Counter::new(),
             replica_clone_us: Histogram::new(&CLONE_US_BOUNDS),
             staleness_epochs: Histogram::new(&STALENESS_BOUNDS),
-            backpressure_total: Counter::new(),
+            busy_us_total: Counter::new(),
         }
     }
 }
@@ -69,7 +69,7 @@ impl RuntimeTelemetry {
     /// * `{prefix}_replica_clones_total`
     /// * `{prefix}_replica_clone_us`
     /// * `{prefix}_staleness_epochs`
-    /// * `{prefix}_backpressure_total`
+    /// * `{prefix}_busy_us_total`
     pub fn registered(registry: &Registry, prefix: &str) -> Self {
         RuntimeTelemetry {
             workers: registry.gauge(
@@ -78,7 +78,7 @@ impl RuntimeTelemetry {
             ),
             batches_total: registry.counter(
                 &format!("{prefix}_batches_total"),
-                "Packet batches pulled off the runtime worker channels",
+                "Packet batches served by runtime worker cores",
             ),
             packets_total: registry.counter(
                 &format!("{prefix}_packets_total"),
@@ -98,21 +98,22 @@ impl RuntimeTelemetry {
                 "Epochs behind the writer per served batch (0 = current)",
                 &STALENESS_BOUNDS,
             ),
-            backpressure_total: registry.counter(
-                &format!("{prefix}_backpressure_total"),
-                "Channel full/empty polls that made the runtime yield",
+            busy_us_total: registry.counter(
+                &format!("{prefix}_busy_us_total"),
+                "Microseconds runtime worker cores spent inside lookups",
             ),
         }
     }
 
     /// Records one core's finished run: `packets` served in `batches`
-    /// pulls, `clones` replica clones, `backpressure` yielding polls.
+    /// jobs, `clones` replica clones, `busy_ns` nanoseconds inside
+    /// lookups.
     #[inline]
-    pub fn record_core(&self, packets: u64, batches: u64, clones: u64, backpressure: u64) {
+    pub fn record_core(&self, packets: u64, batches: u64, clones: u64, busy_ns: u64) {
         self.packets_total.add(packets);
         self.batches_total.add(batches);
         self.replica_clones_total.add(clones);
-        self.backpressure_total.add(backpressure);
+        self.busy_us_total.add(busy_ns / 1_000);
     }
 }
 
@@ -124,8 +125,8 @@ mod tests {
     fn detached_counts() {
         let t = RuntimeTelemetry::detached();
         t.workers.set(4.0);
-        t.record_core(1000, 2, 1, 3);
-        t.record_core(500, 1, 0, 0);
+        t.record_core(1000, 2, 1, 3_999);
+        t.record_core(500, 1, 0, 2_000);
         t.replica_clone_us.observe(120);
         t.staleness_epochs.observe(0);
         t.staleness_epochs.observe(2);
@@ -133,7 +134,7 @@ mod tests {
         assert_eq!(t.packets_total.get(), 1500);
         assert_eq!(t.batches_total.get(), 3);
         assert_eq!(t.replica_clones_total.get(), 1);
-        assert_eq!(t.backpressure_total.get(), 3);
+        assert_eq!(t.busy_us_total.get(), 5, "3 + 2 whole microseconds");
         assert_eq!(t.staleness_epochs.snapshot().count, 2);
     }
 
@@ -141,7 +142,7 @@ mod tests {
     fn registered_uses_the_naming_convention() {
         let registry = Registry::new();
         let t = RuntimeTelemetry::registered(&registry, "clue_runtime");
-        t.record_core(5, 1, 1, 0);
+        t.record_core(5, 1, 1, 7_000);
         for name in [
             "clue_runtime_workers",
             "clue_runtime_batches_total",
@@ -149,10 +150,11 @@ mod tests {
             "clue_runtime_replica_clones_total",
             "clue_runtime_replica_clone_us",
             "clue_runtime_staleness_epochs",
-            "clue_runtime_backpressure_total",
+            "clue_runtime_busy_us_total",
         ] {
             assert!(registry.contains(name), "{name} registered");
         }
         assert_eq!(t.packets_total.get(), 5);
+        assert_eq!(t.busy_us_total.get(), 7);
     }
 }

@@ -8,6 +8,16 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Unsafe budget: the epoch-swap cell and the prefetch intrinsic wrapper
+# are the only modules allowed to opt out of the unsafe_code lint.
+# Any other source file naming allow(unsafe_code) fails the gate.
+unsafe_allowed=$(grep -rl --include='*.rs' 'allow(unsafe_code)' crates src tests examples | sort || true)
+if [ "$unsafe_allowed" != "$(printf '%s\n' crates/core/src/epoch.rs crates/core/src/prefetch.rs)" ]; then
+  echo "verify: allow(unsafe_code) outside the budget (epoch.rs, prefetch.rs):" >&2
+  echo "$unsafe_allowed" >&2
+  exit 1
+fi
+
 # Throughput smoke: the batched-frozen, stride-compiled,
 # entropy-compressed and sharded-parallel pipelines must agree exactly
 # with the scalar engine
@@ -65,9 +75,13 @@ target/release/clue bench-diff BENCH_compressed.json BENCH_compressed.json.new \
   --tolerance 0 --time-tolerance 100000 --max compressed_bytes_per_prefix=8
 mv BENCH_compressed.json.new BENCH_compressed.json
 
+# Piped greps below read their whole input (no -q): `grep -q` exits at
+# the first match, and under pipefail the writer's broken pipe (curl
+# exit 23) would then fail the step even though the line was there.
+#
 # The serving runtime's whole metric family must be registered and
 # live in one scrape of the default instrumented workload.
-target/release/clue metrics 2000 1 --prom | grep -q '^clue_runtime_packets_total'
+target/release/clue metrics 2000 1 --prom | grep '^clue_runtime_packets_total' >/dev/null
 
 # Churn smoke: builder + 4 epoch-pinned readers; --check aborts unless
 # the final published snapshot is bit-identical to a from-scratch
@@ -78,8 +92,8 @@ target/release/clue churn 1000 1 --readers 4 --check \
   --json BENCH_churn.json --serve 127.0.0.1:9184 &
 CHURN_PID=$!
 sleep 2
-curl -sf http://127.0.0.1:9184/metrics | grep -q '^clue_churn_swaps_total'
-curl -sf http://127.0.0.1:9184/metrics.json | grep -q '"clue_churn_rebuild_latency_us"'
+curl -sf http://127.0.0.1:9184/metrics | grep '^clue_churn_swaps_total' >/dev/null
+curl -sf http://127.0.0.1:9184/metrics.json | grep '"clue_churn_rebuild_latency_us"' >/dev/null
 wait "$CHURN_PID"
 test -s BENCH_churn.json
 grep -q '"identical": true' BENCH_churn.json
@@ -121,7 +135,7 @@ target/release/clue chaos 2000000 1 --faults lying_neighbor --check \
 CHAOS_PID=$!
 sleep 1
 curl -sf http://127.0.0.1:9186/metrics \
-  | grep -q '^clue_fault_lying_neighbor_injected_total'
+  | grep '^clue_fault_lying_neighbor_injected_total' >/dev/null
 wait "$CHAOS_PID"
 
 # Fleet smoke: a 1000+-router transit-stub fleet of stride-compiled
@@ -136,8 +150,8 @@ target/release/clue fleet 50000 1 --routers 1024 --threads 4 --check \
   --churn 4 --json BENCH_fleet.json.new --serve 127.0.0.1:9185 &
 FLEET_PID=$!
 sleep 1
-curl -sf http://127.0.0.1:9185/metrics | grep -q '^clue_fleet_routers'
-curl -sf http://127.0.0.1:9185/metrics.json | grep -q '"clue_fleet_link_hit_rate_pct"'
+curl -sf http://127.0.0.1:9185/metrics | grep '^clue_fleet_routers' >/dev/null
+curl -sf http://127.0.0.1:9185/metrics.json | grep '"clue_fleet_link_hit_rate_pct"' >/dev/null
 wait "$FLEET_PID"
 test -s BENCH_fleet.json.new
 grep -q '"checked": true' BENCH_fleet.json.new
