@@ -15,9 +15,11 @@
 //!   timed region and is reported separately
 //!   ([`CoreStats::replica_clone_ns`]).
 //! * **One scoped job driver.** Every leg runs on the crate's one
-//!   driver: scoped threads, a barrier that starts the clock once every
-//!   replica is primed, and a join that returns per-worker results in
-//!   worker order. Jobs are dealt up front, job `k` to worker
+//!   driver: the calling thread serves as worker 0 beside
+//!   `workers − 1` scoped threads, a barrier starts the clock once
+//!   every replica is primed, and a join returns per-worker results in
+//!   worker order. At one worker no thread starts, so the batch stays
+//!   on the caller's core. Jobs are dealt up front, job `k` to worker
 //!   `k % workers`, so there is no queue and no lock;
 //!   [`serve_lookups`] deals `out` itself in `batch`-sized chunks and
 //!   each worker writes its decisions in place.

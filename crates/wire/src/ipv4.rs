@@ -6,7 +6,12 @@ use clue_trie::Ip4;
 use crate::error::WireError;
 use crate::option::{
     clue_option_len, decode_clue_option, encode_clue_option_into, CLUE_OPTION_KIND,
+    MAX_CLUE_OPTION_LEN,
 };
+
+/// The longest header [`Ipv4Packet::to_bytes`] writes: the fixed 20
+/// bytes plus the largest clue option, padded to a whole word.
+const MAX_HEADER_LEN: usize = 20 + MAX_CLUE_OPTION_LEN.div_ceil(4) * 4;
 
 /// A parsed (or to-be-serialized) IPv4 header.
 ///
@@ -70,24 +75,25 @@ impl Ipv4Packet {
         let header_len = ihl * 4;
         let total = self.total_length.max(header_len as u16);
 
-        let mut out = vec![0u8; header_len];
-        out[0] = 0x40 | ihl as u8;
-        out[1] = self.dscp_ecn;
-        out[2..4].copy_from_slice(&total.to_be_bytes());
-        out[4..6].copy_from_slice(&self.identification.to_be_bytes());
-        out[6..8].copy_from_slice(&self.flags_fragment.to_be_bytes());
-        out[8] = self.ttl;
-        out[9] = self.protocol;
+        let mut buf = [0u8; MAX_HEADER_LEN];
+        buf[0] = 0x40 | ihl as u8;
+        buf[1] = self.dscp_ecn;
+        buf[2..4].copy_from_slice(&total.to_be_bytes());
+        buf[4..6].copy_from_slice(&self.identification.to_be_bytes());
+        buf[6..8].copy_from_slice(&self.flags_fragment.to_be_bytes());
+        buf[8] = self.ttl;
+        buf[9] = self.protocol;
         // checksum at [10..12] stays zero for the computation
-        out[12..16].copy_from_slice(&self.src.0.to_be_bytes());
-        out[16..20].copy_from_slice(&self.dst.0.to_be_bytes());
-        encode_clue_option_into(&self.clue, &mut out[20..])
+        buf[12..16].copy_from_slice(&self.src.0.to_be_bytes());
+        buf[16..20].copy_from_slice(&self.dst.0.to_be_bytes());
+        encode_clue_option_into(&self.clue, &mut buf[20..header_len])
             .expect("options area sized from clue_option_len");
         // Padding bytes (already zero) act as End-of-Options-List.
 
-        let sum = checksum(&out);
-        out[10..12].copy_from_slice(&sum.to_be_bytes());
-        out
+        let header = &mut buf[..header_len];
+        let sum = checksum(header);
+        header[10..12].copy_from_slice(&sum.to_be_bytes());
+        header.to_vec()
     }
 
     /// Parses and verifies a header, extracting the clue option if
@@ -109,8 +115,10 @@ impl Ipv4Packet {
             return Err(WireError::Truncated { needed: header_len, got: bytes.len() });
         }
         let header = &bytes[..header_len];
-        let computed = checksum_skipping(header, 10);
         let found = u16::from_be_bytes([header[10], header[11]]);
+        // The sum with the checksum field taken back out is the sum
+        // with that field zeroed, which is what the sender checksummed.
+        let computed = fold(word_sum(header) - u64::from(found));
         if computed != found {
             return Err(WireError::BadChecksum { found, computed });
         }
@@ -150,24 +158,22 @@ impl Ipv4Packet {
 
 /// The Internet checksum over `data` (checksum field assumed zero).
 pub fn checksum(data: &[u8]) -> u16 {
-    checksum_skipping(data, usize::MAX)
+    fold(word_sum(data))
 }
 
-/// Internet checksum treating the 2 bytes at `skip` as zero.
-fn checksum_skipping(data: &[u8], skip: usize) -> u16 {
-    let mut sum = 0u32;
-    let mut i = 0;
-    while i < data.len() {
-        let word = if i == skip {
-            0
-        } else {
-            let hi = data[i] as u32;
-            let lo = if i + 1 < data.len() && i + 1 != skip { data[i + 1] as u32 } else { 0 };
-            (hi << 8) | lo
-        };
-        sum += word;
-        i += 2;
-    }
+/// RFC 1071 sum of `data` as big-endian 16-bit words, an odd trailing
+/// byte padded with a zero; carries are left for [`fold`].
+fn word_sum(data: &[u8]) -> u64 {
+    let words = data.chunks_exact(2);
+    let tail = match words.remainder() {
+        [last] => u64::from(*last) << 8,
+        _ => 0,
+    };
+    words.map(|w| u64::from(u16::from_be_bytes([w[0], w[1]]))).sum::<u64>() + tail
+}
+
+/// Folds the carries of a [`word_sum`] back in and complements it.
+fn fold(mut sum: u64) -> u16 {
     while sum >> 16 != 0 {
         sum = (sum & 0xFFFF) + (sum >> 16);
     }

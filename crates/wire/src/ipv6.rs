@@ -5,7 +5,9 @@ use clue_core::ClueHeader;
 use clue_trie::Ip6;
 
 use crate::error::WireError;
-use crate::option::{decode_clue_option, encode_clue_option_v6, CLUE_OPTION_KIND};
+use crate::option::{
+    decode_clue_option, encode_clue_option_v6_into, CLUE_OPTION_KIND, MAX_CLUE_OPTION_LEN,
+};
 
 /// Protocol number of the hop-by-hop extension header.
 pub const HOP_BY_HOP: u8 = 0;
@@ -57,7 +59,10 @@ impl Ipv6Packet {
     /// hop-by-hop extension holding the clue option (padded to the
     /// 8-byte granularity the extension requires).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let option = encode_clue_option_v6(&self.clue);
+        let mut opt_buf = [0u8; MAX_CLUE_OPTION_LEN];
+        let opt_len = encode_clue_option_v6_into(&self.clue, &mut opt_buf)
+            .expect("buffer fits the largest option");
+        let option = &opt_buf[..opt_len];
         let ext_len = if option.is_empty() { 0 } else { (2 + option.len()).div_ceil(8) * 8 };
 
         let mut out = vec![0u8; 40 + ext_len];
@@ -75,7 +80,7 @@ impl Ipv6Packet {
         if ext_len > 0 {
             out[40] = self.next_header;
             out[41] = (ext_len / 8 - 1) as u8;
-            out[42..42 + option.len()].copy_from_slice(&option);
+            out[42..42 + option.len()].copy_from_slice(option);
             // Remaining bytes: PadN where needed. A run of zeros is Pad1
             // options, which is legal but wasteful; emit PadN properly.
             let pad = ext_len - 2 - option.len();

@@ -40,27 +40,12 @@ pub fn clue_option_len(header: &ClueHeader) -> usize {
     }
 }
 
-/// Serializes a clue header into IPv4 option bytes, where the length
-/// byte covers the whole option (kind + length + data). Empty when no
-/// clue is attached — an absent clue is simply no option.
-pub fn encode_clue_option(header: &ClueHeader) -> Vec<u8> {
-    let mut buf = [0u8; MAX_CLUE_OPTION_LEN];
-    let n = encode_clue_option_into(header, &mut buf).expect("buffer fits the largest option");
-    buf[..n].to_vec()
-}
-
-/// Serializes a clue header into IPv6 option bytes, where the length
-/// byte covers the data only (the IPv6 options convention).
-pub fn encode_clue_option_v6(header: &ClueHeader) -> Vec<u8> {
-    let mut buf = [0u8; MAX_CLUE_OPTION_LEN];
-    let n = encode_clue_option_v6_into(header, &mut buf).expect("buffer fits the largest option");
-    buf[..n].to_vec()
-}
-
-/// Writes the IPv4-convention clue option into a caller-provided buffer
+/// Writes the IPv4-convention clue option — the length byte covers the
+/// whole option (kind + length + data) — into a caller-provided buffer
 /// and returns the number of bytes written (zero when no clue is
-/// attached). Fails with [`WireError::Truncated`] when `buf` is shorter
-/// than the encoded option; nothing is written in that case.
+/// attached: an absent clue is simply no option). Fails with
+/// [`WireError::Truncated`] when `buf` is shorter than the encoded
+/// option; nothing is written in that case.
 pub fn encode_clue_option_into(header: &ClueHeader, buf: &mut [u8]) -> Result<usize, WireError> {
     write_option(header, buf, true)
 }
@@ -130,10 +115,17 @@ mod tests {
         s.parse().unwrap()
     }
 
+    /// The IPv4-convention option bytes of `h`.
+    fn encode(h: &ClueHeader) -> Vec<u8> {
+        let mut buf = [0u8; MAX_CLUE_OPTION_LEN];
+        let n = encode_clue_option_into(h, &mut buf).unwrap();
+        buf[..n].to_vec()
+    }
+
     #[test]
     fn roundtrip_without_index() {
         let h = ClueHeader::with_clue(&p4("10.1.0.0/16"));
-        let bytes = encode_clue_option(&h);
+        let bytes = encode(&h);
         assert_eq!(bytes, vec![CLUE_OPTION_KIND, 3, 15]);
         let back = decode_clue_option::<Ip4>(&bytes[2..]).unwrap();
         assert_eq!(back, h);
@@ -142,16 +134,18 @@ mod tests {
     #[test]
     fn roundtrip_with_index() {
         let h = ClueHeader::with_indexed_clue(&p4("10.1.2.0/24"), 0xBEEF);
-        let bytes = encode_clue_option(&h);
-        assert_eq!(bytes.len(), 5);
-        assert_eq!(bytes[1], 5);
+        let bytes = encode(&h);
+        assert_eq!(bytes, vec![CLUE_OPTION_KIND, 5, INDEX_FLAG | 23, 0xBE, 0xEF]);
         let back = decode_clue_option::<Ip4>(&bytes[2..]).unwrap();
         assert_eq!(back, h);
     }
 
     #[test]
     fn no_clue_is_no_option() {
-        assert!(encode_clue_option(&ClueHeader::none()).is_empty());
+        let mut buf = [0xAAu8; MAX_CLUE_OPTION_LEN];
+        assert_eq!(encode_clue_option_into(&ClueHeader::none(), &mut buf), Ok(0));
+        assert_eq!(encode_clue_option_v6_into(&ClueHeader::none(), &mut buf), Ok(0));
+        assert_eq!(buf, [0xAA; MAX_CLUE_OPTION_LEN], "nothing written");
     }
 
     #[test]
@@ -170,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn write_into_matches_the_vec_encoders() {
+    fn write_into_stays_inside_the_option_and_v6_differs_only_in_length() {
         for h in [
             ClueHeader::none(),
             ClueHeader::with_clue(&p4("10.1.0.0/16")),
@@ -179,15 +173,21 @@ mod tests {
             let mut buf = [0xAAu8; MAX_CLUE_OPTION_LEN + 2];
             let n = encode_clue_option_into(&h, &mut buf).unwrap();
             assert_eq!(n, clue_option_len(&h));
-            assert_eq!(buf[..n], encode_clue_option(&h)[..]);
             assert!(buf[n..].iter().all(|&b| b == 0xAA), "wrote past the option");
             if n > 0 {
                 let back = decode_clue_option::<Ip4>(&buf[2..n]).unwrap();
                 assert_eq!(back, h);
             }
 
-            let n6 = encode_clue_option_v6_into(&h, &mut buf).unwrap();
-            assert_eq!(buf[..n6], encode_clue_option_v6(&h)[..]);
+            let mut buf6 = [0xAAu8; MAX_CLUE_OPTION_LEN + 2];
+            let n6 = encode_clue_option_v6_into(&h, &mut buf6).unwrap();
+            assert_eq!(n6, n);
+            assert!(buf6[n6..].iter().all(|&b| b == 0xAA), "wrote past the option");
+            if n6 > 0 {
+                assert_eq!(buf6[1] as usize, n6 - 2, "v6 length covers the data only");
+                buf6[1] = buf[1];
+            }
+            assert_eq!(buf6[..n6], buf[..n]);
         }
     }
 
@@ -209,7 +209,7 @@ mod tests {
     fn every_ipv4_length_roundtrips() {
         for len in 1..=32u8 {
             let h = ClueHeader::with_clue(&Prefix::new(Ip4(0), len));
-            let bytes = encode_clue_option(&h);
+            let bytes = encode(&h);
             let back = decode_clue_option::<Ip4>(&bytes[2..]).unwrap();
             assert_eq!(back.decode(Ip4(0)), Some(Prefix::new(Ip4(0), len)));
         }

@@ -1,10 +1,81 @@
-//! Parser robustness: arbitrary bytes never panic, and encode→parse is
-//! the identity for every valid header.
+//! Parser robustness: arbitrary bytes never panic, encode→parse is the
+//! identity for every valid header, the checksum matches a byte-wise
+//! RFC 1071 oracle, and the encoded layout is pinned byte for byte.
 
 use clue_core::ClueHeader;
 use clue_trie::{Ip4, Ip6, Prefix};
-use clue_wire::{option::decode_clue_option, Ipv4Packet, Ipv6Packet, WireError};
+use clue_wire::{checksum, option::decode_clue_option, Ipv4Packet, Ipv6Packet, WireError};
 use proptest::prelude::*;
+
+/// RFC 1071 the slow way: one byte at a time, high byte first, an odd
+/// trailing byte padded with zero, carries folded at the end.
+fn checksum_oracle(data: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    for (i, &b) in data.iter().enumerate() {
+        sum += if i % 2 == 0 { u64::from(b) << 8 } else { u64::from(b) };
+    }
+    while sum >> 16 != 0 {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+/// A header for `10.1.2.3` from `192.0.2.1` carrying a clue of
+/// `clue_len` bits (none at 0), indexed when `index` is set.
+fn clued_v4(clue_len: u8, index: Option<u16>) -> Ipv4Packet {
+    let dst = Ip4(0x0A01_0203);
+    let mut pkt = Ipv4Packet::new(Ip4(0xC000_0201), dst, 6);
+    if clue_len > 0 {
+        let bmp = Prefix::new(dst, clue_len);
+        pkt.clue = match index {
+            Some(i) => ClueHeader::with_indexed_clue(&bmp, i),
+            None => ClueHeader::with_clue(&bmp),
+        };
+    }
+    pkt
+}
+
+/// [`clued_v4`] with a non-zero identification, so a field swap shows.
+fn golden_v4(clue_len: u8, index: Option<u16>) -> Vec<u8> {
+    let mut pkt = clued_v4(clue_len, index);
+    pkt.identification = 0x1234;
+    pkt.to_bytes()
+}
+
+#[test]
+fn clued_ipv4_header_matches_golden_bytes() {
+    #[rustfmt::skip]
+    let want = [
+        0x46, 0x00, 0x00, 0x18, 0x12, 0x34, 0x00, 0x00, 0x40, 0x06, 0x2C, 0xA4,
+        0xC0, 0x00, 0x02, 0x01, 0x0A, 0x01, 0x02, 0x03, 0x5E, 0x03, 0x0F, 0x00,
+    ];
+    assert_eq!(golden_v4(16, None), want);
+}
+
+#[test]
+fn indexed_ipv4_header_matches_golden_bytes() {
+    #[rustfmt::skip]
+    let want = [
+        0x47, 0x00, 0x00, 0x1C, 0x12, 0x34, 0x00, 0x00, 0x40, 0x06, 0xB3, 0xDE,
+        0xC0, 0x00, 0x02, 0x01, 0x0A, 0x01, 0x02, 0x03, 0x5E, 0x05, 0x97, 0xBE,
+        0xEF, 0x00, 0x00, 0x00,
+    ];
+    assert_eq!(golden_v4(24, Some(0xBEEF)), want);
+}
+
+#[test]
+fn an_ihl_flip_that_drops_the_whole_option_can_evade_the_checksum() {
+    // The one single-bit corruption the Internet checksum cannot always
+    // see: IHL 7 → 5 removes the option words from the sum while the
+    // flip itself subtracts 0x200. When the dropped words sum to
+    // −0x200 (mod 0xFFFF) — here a /32 clue indexed 0xFA00 — the
+    // shortened header verifies. The bit-flip property below excludes
+    // exactly this flip.
+    let mut bytes = clued_v4(32, Some(0xFA00)).to_bytes();
+    bytes[0] ^= 0b10;
+    let parsed = Ipv4Packet::parse(&bytes).expect("the checksum misses this flip");
+    assert_eq!(parsed.clue, ClueHeader::none());
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -106,13 +177,7 @@ proptest! {
         // Every strict prefix of a valid clued packet fails to parse,
         // and when the failure is `Truncated` it names the cut point
         // exactly — degradation diagnostics the chaos harness trusts.
-        let dst = Ip4(0x0A01_0203);
-        let bmp = Prefix::new(dst, clue_len);
-        let header = match index {
-            Some(i) => ClueHeader::with_indexed_clue(&bmp, i),
-            None => ClueHeader::with_clue(&bmp),
-        };
-        let bytes = Ipv4Packet::new(Ip4(0xC000_0201), dst, 6).with_clue(header).to_bytes();
+        let bytes = clued_v4(clue_len, index).to_bytes();
         let cut = cut_seed as usize % bytes.len();
         match Ipv4Packet::parse(&bytes[..cut]) {
             Ok(_) => prop_assert!(false, "a {cut}-byte prefix of {} parsed", bytes.len()),
@@ -145,21 +210,31 @@ proptest! {
     }
 
     #[test]
-    fn ipv4_bitflips_never_verify_or_panic(
-        flip_byte in 0usize..24,
-        flip_bit in 0u8..8,
-        clue_len in 1u8..=32,
+    fn checksum_matches_the_bytewise_oracle(
+        data in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
-        let dst = Ip4(0x0A01_0203);
-        let pkt = Ipv4Packet::new(Ip4(0xC000_0201), dst, 6)
-            .with_clue(ClueHeader::with_clue(&Prefix::new(dst, clue_len)));
-        let mut bytes = pkt.to_bytes();
-        if flip_byte < bytes.len() {
-            bytes[flip_byte] ^= 1 << flip_bit;
-            // Either the checksum catches it, or parsing still succeeds
-            // (the flip hit a checksum-neutral combination is impossible
-            // for a single bit) — the key property: no panic.
-            let _ = Ipv4Packet::parse(&bytes);
-        }
+        prop_assert_eq!(checksum(&data), checksum_oracle(&data));
+    }
+
+    #[test]
+    fn ipv4_bitflips_never_verify_or_panic(
+        flip_seed in any::<u16>(),
+        flip_bit in 0u8..8,
+        clue_len in 0u8..=32,
+        index in proptest::option::of(any::<u16>()),
+    ) {
+        let mut bytes = clued_v4(clue_len, index).to_bytes();
+        let flip_byte = flip_seed as usize % bytes.len();
+        // IHL 7 → 5 on an indexed header: see
+        // `an_ihl_flip_that_drops_the_whole_option_can_evade_the_checksum`.
+        prop_assume!(!(flip_byte == 0 && flip_bit == 1 && bytes.len() == 28));
+        bytes[flip_byte] ^= 1 << flip_bit;
+        // Every other single-bit flip either breaks a structural check
+        // (version, IHL, length, option) or moves the one's-complement
+        // sum by ±2^k, which the checksum always catches.
+        prop_assert!(
+            Ipv4Packet::parse(&bytes).is_err(),
+            "bit {flip_bit} of byte {flip_byte} flipped, still parsed"
+        );
     }
 }

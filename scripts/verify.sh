@@ -8,6 +8,13 @@ cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The forwarding benchmark is a package of its own, outside the
+# workspace, so `--workspace` above does not reach its tests. They
+# check `Ipv4Packet::to_bytes` byte for byte against the benchmark's
+# encoder and inject faults into its correctness gates; run them here
+# so a codec regression fails this gate, not the next benchmark run.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
+
 # Unsafe budget: the epoch-swap cell and the prefetch intrinsic wrapper
 # are the only modules allowed to opt out of the unsafe_code lint.
 # Any other source file naming allow(unsafe_code) fails the gate.
