@@ -1,6 +1,6 @@
 //! Lookup-pipeline throughput: the mutable scalar engine, the same
-//! engine frozen (one call per packet), the frozen batch API, and the
-//! sharded parallel network driver at 1/2/4 threads.
+//! engine frozen (one call per packet) and the frozen batch API. The
+//! multi-core network walk is timed in `benches/runtime.rs`.
 //!
 //! The acceptance bar for this PR is batched-frozen >= 2x the scalar
 //! engine in packets/second on the engine workload. Run with
@@ -12,7 +12,6 @@ use std::hint::black_box;
 use clue_bench::isp_pair;
 use clue_core::{ClueEngine, Decision, EngineConfig, Method};
 use clue_lookup::Family;
-use clue_netsim::{run_workload_parallel, Network, NetworkConfig, Topology};
 use clue_trie::Cost;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 
@@ -62,27 +61,5 @@ fn bench_engine_pipelines(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_driver(c: &mut Criterion) {
-    let (topo, edges) = Topology::backbone(4, 2);
-    let mut cfg =
-        NetworkConfig::new(edges.clone(), EngineConfig::new(Family::Regular, Method::Advance));
-    cfg.seed = 42;
-    let net: Network<clue_trie::Ip4> = Network::build(topo, cfg);
-    let packets = 2_000;
-
-    let mut group = c.benchmark_group("parallel_workload");
-    group.throughput(Throughput::Elements(packets as u64));
-    for threads in [1usize, 2, 4] {
-        group.bench_function(BenchmarkId::new("backbone_4x2", threads), |b| {
-            b.iter(|| {
-                let stats =
-                    run_workload_parallel(&net, &edges, packets, 7, threads).expect("freezable");
-                black_box(stats.total_accesses)
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_engine_pipelines, bench_parallel_driver);
+criterion_group!(benches, bench_engine_pipelines);
 criterion_main!(benches);

@@ -653,9 +653,9 @@ fn profile_path_json(prof: &StageProfiler, snap: &HistogramSnapshot) -> String {
 }
 
 /// Runs the per-stage lookup profiler over the scalar, frozen and
-/// stride paths (plus the sharded network driver), cross-validating
-/// the paper's predicted [`Cost`] ticks against measured nanoseconds
-/// stage by stage. Every packet runs through both the plain and the
+/// stride paths (plus the frozen network's multi-core walk),
+/// cross-validating the paper's predicted [`Cost`] ticks against
+/// measured nanoseconds stage by stage. Every packet runs through both the plain and the
 /// profiled variant of each path; `--check` fails unless they agree
 /// bit-for-bit (BMP, class, per-packet `Cost`, engine stats) — the
 /// profiler's "semantically inert" contract. `--json PATH` exports
@@ -800,8 +800,9 @@ fn profile(args: &[String]) -> Result<(), String> {
         }
     }
 
-    // Network leg: the sharded driver with per-thread profilers merged
-    // in order — stats must match the unprofiled driver exactly.
+    // Network leg: the frozen network's profiled walk, one profiler per
+    // worker merged in order — stats must match its unprofiled
+    // multi-core walk (`run_workload`) exactly.
     let (topo, edges) = clue_netsim::Topology::backbone(4, 2);
     let mut net_cfg = clue_netsim::NetworkConfig::new(edges.clone(), cfg());
     net_cfg.seed = seed;

@@ -40,7 +40,7 @@ use crate::profile::{record_walk_split, Span, Stage, StageProfiler};
 use crate::stride::{PacketOp, PreparedLookup};
 use crate::table::{Continuation, TableKind};
 
-/// “No child” sentinel in [`FrozenNode::children`].
+/// “No child” sentinel in a frozen node's `children` links.
 pub const NONE_NODE: u32 = u32::MAX;
 /// Claim-1 continue bit: set iff a candidate may lie strictly below.
 pub(crate) const CONT_BIT: u32 = 1 << 31;

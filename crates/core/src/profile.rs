@@ -157,7 +157,8 @@ impl StageAccum {
     }
 
     /// Pearson correlation between per-event predicted ticks and
-    /// measured nanoseconds; `None` when undefined (see [`Corr::r`]).
+    /// measured nanoseconds; `None` when undefined (fewer than two
+    /// events, or a constant series).
     pub fn correlation(&self) -> Option<f64> {
         self.corr.r()
     }

@@ -52,8 +52,13 @@ use rand::{RngExt, SeedableRng};
 
 use crate::adversary::{deepest_mismatch_clue, flood_clue, AttackProfile};
 use crate::driver::{drive, ranges};
-use crate::parallel::packet_seed;
+use crate::sim::packet_seed;
 use crate::topology::{EcmpTree, RouterId, Topology};
+
+/// Stride shape of every compiled fleet engine: an 8-bit root, then
+/// 4-bit nodes. Kept small because a fleet compiles `routers + 2·links`
+/// engines.
+const FLEET_STRIDE: StrideConfig = StrideConfig { initial_bits: 8, inner_bits: 4 };
 
 /// Origin sentinel for a tag whose prefix is not in the router's FIB.
 const NO_ORIGIN: u32 = u32::MAX;
@@ -101,9 +106,6 @@ pub struct FleetConfig {
     pub bands: Vec<(usize, u8)>,
     /// Clue-engine configuration for the per-link engines.
     pub engine: EngineConfig,
-    /// Stride shape for the compiled engines. Keep it small: a fleet
-    /// compiles `routers + 2·links` engines.
-    pub stride: StrideConfig,
     /// Fraction of routers that participate in the clue scheme
     /// (Section 5.3's heterogeneous deployment).
     pub participation: f64,
@@ -117,8 +119,7 @@ impl FleetConfig {
     /// Defaults for a fleet of at least `routers` routers: transit-stub
     /// topology, `routers/12` origins (8..=192), 6 specifics each in
     /// disjoint /14 blocks, detail decaying /24 → /20 → /14, Advance
-    /// method over a small (8, 4) stride shape, full participation,
-    /// Zipf(0.9) destination locality.
+    /// method, full participation, Zipf(0.9) destination locality.
     pub fn new(routers: usize, seed: u64) -> Self {
         FleetConfig {
             routers,
@@ -128,7 +129,6 @@ impl FleetConfig {
             block_len: 14,
             bands: vec![(1, 24), (3, 20), (usize::MAX, 14)],
             engine: EngineConfig::new(Family::Regular, Method::Advance),
-            stride: StrideConfig::new(8, 4),
             participation: 1.0,
             zipf_exponent: 0.9,
             seed,
@@ -181,7 +181,7 @@ impl FleetRouter {
 }
 
 /// The built fleet: topology, address plan, ECMP trees, and one
-/// epoch-published [`FleetRouter`] per router.
+/// epoch-published compiled engine bundle per router.
 pub struct Fleet {
     config: FleetConfig,
     topology: Topology,
@@ -1223,7 +1223,7 @@ fn compile_router(
     };
 
     let base_config = EngineConfig::new(config.engine.family, Method::Common);
-    let base = ClueEngine::precomputed(&[], &own, base_config).freeze_stride(config.stride)?;
+    let base = ClueEngine::precomputed(&[], &own, base_config).freeze_stride(FLEET_STRIDE)?;
     let base_origins: Vec<u32> = base.tag_prefixes().iter().map(&origin_of).collect();
 
     let mut engines = Vec::new();
@@ -1236,7 +1236,7 @@ fn compile_router(
                 .map(|&(p, _)| p)
                 .collect();
             let engine = ClueEngine::precomputed(&clues, &own, config.engine)
-                .freeze_stride(config.stride)?;
+                .freeze_stride(FLEET_STRIDE)?;
             engine_origins.push(engine.tag_prefixes().iter().map(&origin_of).collect());
             engines.push(engine);
         }

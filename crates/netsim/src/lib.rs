@@ -14,14 +14,14 @@
 //!   piggybacking, heterogeneous participation (Section 5.3: clue-less
 //!   routers relay clues) and the Section 5.4 load-shifting mode;
 //! * [`run_workload`] — multi-packet runs with per-router / per-hop
-//!   statistics (Figure 1's two curves fall straight out);
-//! * [`run_workload_parallel`] — the same workload sharded over OS
-//!   threads against a [`FrozenNetwork`], bit-identical for a given
-//!   seed regardless of thread count;
-//! * [`StrideNetwork`] / [`serve_lookups`] — the shared-nothing
-//!   multi-core serving runtime: per-core stride-engine replicas on one
-//!   scoped job driver, bit-identical to the scalar reference at any
-//!   core count, with barrier-free epoch-churn propagation;
+//!   statistics (Figure 1's two curves fall straight out), and
+//!   [`run_workload_per_packet`], the same over per-packet RNG streams;
+//! * [`CompiledNetwork`] / [`serve_lookups`] — the shared-nothing
+//!   multi-core serving runtime: the network with every engine
+//!   compiled to one backend ([`FrozenNetwork`], [`StrideNetwork`],
+//!   [`CompressedNetwork`]), per-core replicas on one scoped job
+//!   driver, bit-identical to [`run_workload_per_packet`] at any core
+//!   count, with barrier-free epoch-churn propagation;
 //! * [`LabelSwitchedPath`] — the Figure 8 MPLS aggregation-point
 //!   scenario, plain vs label-as-clue-index hybrid;
 //! * [`PathVector`] — a BGP-like path-vector protocol run to
@@ -49,7 +49,6 @@ mod faults;
 mod fleet;
 mod mpls_path;
 mod network;
-mod parallel;
 mod pathvector;
 mod runtime;
 mod sim;
@@ -74,10 +73,11 @@ pub use pathvector::{Aggregation, PathVector, Rib, Route};
 pub use network::{
     DetailBands, Hop, HopRecord, Network, NetworkConfig, PathTrace, RouterNode,
 };
-pub use parallel::{run_workload_parallel, run_workload_per_packet, FrozenNetwork, PacketNetwork};
 pub use runtime::{
     available_workers, serve_lookups, CompiledNetwork, CompressedNetwork, CoreStats,
-    RuntimeConfig, RuntimeReport, ServeReport, StrideNetwork,
+    FrozenNetwork, RuntimeConfig, RuntimeReport, ServeReport, StrideNetwork,
 };
-pub use sim::{export_cost_stats, run_workload, run_workload_instrumented, RunStats};
+pub use sim::{
+    export_cost_stats, run_workload, run_workload_instrumented, run_workload_per_packet, RunStats,
+};
 pub use topology::{EcmpTree, RouteTree, RouterId, Topology};

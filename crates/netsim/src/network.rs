@@ -459,23 +459,8 @@ impl<A: Address> Network<A> {
                     header = ClueHeader::with_clue(&p);
                 }
                 if shift {
-                    if let Some(Hop::Via(nh)) = next {
-                        if self.config.core.contains(&nh) {
-                            let nb_bmp = {
-                                let nb_fib = &self.routers[nh].fib;
-                                match bmp.and_then(|p| nb_fib.node_of_prefix(&p)) {
-                                    Some(start) => nb_fib
-                                        .lookup_from(start, dest, &mut shift_cost)
-                                        .map(|r| nb_fib.prefix(r)),
-                                    None => nb_fib
-                                        .lookup_counted(dest, &mut shift_cost)
-                                        .map(|r| nb_fib.prefix(r)),
-                                }
-                            };
-                            if let Some(p) = nb_bmp {
-                                header = ClueHeader::with_clue(&p);
-                            }
-                        }
+                    if let Some(p) = self.shifted_bmp(next, bmp, dest, &mut shift_cost) {
+                        header = ClueHeader::with_clue(&p);
                     }
                 }
             }
@@ -495,6 +480,31 @@ impl<A: Address> Network<A> {
             }
         }
         PathTrace { dest, hops, delivered }
+    }
+
+    /// Section 5.4's shifted work: when `next` forwards into a core
+    /// router, that router's BMP for `dest`, resolved by the sender in
+    /// the core router's own table — continuing from the sender's
+    /// `bmp` when the core table holds it, so the extra work is just
+    /// the detail gap — and charged to `cost`. `None` when `next` is
+    /// not a core router or its table has no route.
+    pub(crate) fn shifted_bmp(
+        &self,
+        next: Option<Hop>,
+        bmp: Option<Prefix<A>>,
+        dest: A,
+        cost: &mut Cost,
+    ) -> Option<Prefix<A>> {
+        let Some(Hop::Via(nh)) = next else { return None };
+        if !self.config.core.contains(&nh) {
+            return None;
+        }
+        let fib = &self.routers[nh].fib;
+        match bmp.and_then(|p| fib.node_of_prefix(&p)) {
+            Some(start) => fib.lookup_from(start, dest, cost),
+            None => fib.lookup_counted(dest, cost),
+        }
+        .map(|r| fib.prefix(r))
     }
 }
 

@@ -1,11 +1,13 @@
-//! Shared-nothing multi-core serving runtime.
+//! The compiled network and the shared-nothing multi-core serving
+//! runtime.
 //!
-//! [`FrozenNetwork::run_workload`](crate::FrozenNetwork::run_workload)
-//! shards one workload across scoped threads, but every shard still
-//! routes through the *shared* frozen engines and materialises a
-//! [`PathTrace`](crate::PathTrace) per packet. This module is the
-//! run-to-completion replacement, with no mutex, no rwlock and no
-//! message channel anywhere on the serving path:
+//! [`CompiledNetwork`] is the one read-only view of a live [`Network`]
+//! with every clue engine compiled to a [`CompiledBackend`]: routable
+//! from `&self` and shareable across threads. The frozen alias
+//! ([`FrozenNetwork`]) adds the stage-profiled walk; the stride alias
+//! ([`StrideNetwork`]) is what the CLI and benches time. There is no
+//! mutex, no rwlock and no message channel anywhere on the serving
+//! path:
 //!
 //! * **Per-core replicas.** Each worker owns a private replica of
 //!   every compiled engine it serves from
@@ -27,11 +29,11 @@
 //!   ranges and every packet derives its own SplitMix64 RNG stream
 //!   from its index, so what a worker computes is independent of which
 //!   worker computes it; the per-worker accumulators fold with
-//!   commutative integer merges. [`StrideNetwork::run_workload`] is
+//!   commutative integer merges. [`CompiledNetwork::run_workload`] is
 //!   therefore **bit-identical to
 //!   [`run_workload_per_packet`](crate::run_workload_per_packet) at
-//!   any worker count** — the property `tests/runtime_equivalence.rs`
-//!   pins down.
+//!   any worker count**, on every backend — the property
+//!   `tests/runtime_equivalence.rs` pins down.
 //! * **Barrier-free churn propagation.** [`serve_lookups`] serves from
 //!   an [`EpochCell`]: each worker holds a pinned [`EpochReader`] and
 //!   re-clones its replica at the first batch boundary after a
@@ -39,40 +41,38 @@
 //!   epochs-behind lag is attributed per core
 //!   ([`CoreStats::max_staleness`]).
 //!
-//! Three details make the network driver fast enough to beat the
-//! scalar reference by the gated 3x even before true parallelism:
-//! router lookups run on stride-compiled engines (a direct-indexed
-//! root plus multibit nodes instead of a bit-by-bit trie walk);
-//! next-hop resolution — `fib.get(&bmp)`, an *uncharged* binary-trie
-//! descent on the frozen path — is tag-indexed, the compiled lookup
-//! returning a dense payload index ([`StrideEngine::lookup_finish_tag`])
-//! into a per-engine [`TagHop`] table precomputed at freeze time from
-//! the flat open-addressed prefix→hop map ([`PrefixHopMap`]); and
-//! each worker walks [`WALK_LANES`] packets in lockstep,
-//! decoding-and-prefetching every packet's next lookup
-//! ([`StrideEngine::lookup_prepare`]) a full lane rotation before
+//! Three details make the network walk fast enough to beat the scalar
+//! reference by the gated 3x even before true parallelism: router
+//! lookups run on compiled engines (the stride backend's
+//! direct-indexed root plus multibit nodes instead of a bit-by-bit
+//! trie walk); next-hop resolution is tag-indexed, the compiled lookup
+//! returning a dense payload index
+//! ([`CompiledBackend::lookup_finish_tag`]) into a per-engine hop table
+//! resolved through the FIB once, at compile time, instead of a FIB
+//! hash probe per hop; and each worker walks `WALK_LANES` packets in
+//! lockstep, decoding-and-prefetching every packet's next lookup
+//! ([`CompiledBackend::lookup_prepare`]) a full lane rotation before
 //! resolving it, so the dependent loads of one walk hide behind the
 //! other lanes' work. None of the three changes any recorded
-//! statistic: the stride engines are tick-parity with the scalar
-//! engines (the `stride_prop` suite), the tag tables resolve exactly
-//! what the FIB walk resolves while both charge nothing, and lane
-//! order only permutes commutative accumulator merges.
+//! statistic: the compiled engines are tick-parity with the scalar
+//! engines (the `*_prop` suites), the hop tables resolve exactly what
+//! the FIB resolves while neither charges anything, and lane order
+//! only permutes commutative accumulator merges.
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use clue_core::{
     BackendError, ClueHeader, CompiledBackend, CompressedEngine, Decision, EngineStats, EpochCell,
-    EpochReader, PreparedLookup, QuarantineGate, StrideConfig, StrideEngine, StrideError,
-    DEFAULT_INTERLEAVE, NO_TAG,
+    EpochReader, FreezeError, FrozenEngine, PreparedLookup, QuarantineGate, StageProfiler,
+    StrideConfig, StrideEngine, StrideError, DEFAULT_INTERLEAVE, NO_TAG,
 };
 use clue_telemetry::RuntimeTelemetry;
-use clue_trie::{Address, Cost, Prefix};
+use clue_trie::{Address, BinaryTrie, Cost, Prefix};
 
 use crate::driver::{drive, ranges};
-use crate::network::{Hop, Network};
-use crate::parallel::{draw_packet, Accum};
-use crate::sim::RunStats;
+use crate::network::{Hop, HopRecord, Network, PathTrace};
+use crate::sim::{draw_packet, Accum, RunStats};
 use crate::topology::RouterId;
 
 /// The number of worker cores [`RuntimeConfig::default`] uses: every
@@ -165,16 +165,27 @@ impl RuntimeReport {
         packets as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
     }
 
-    /// Each core's packets per second over the (shared) timed region.
+    /// Each core's packets per second over its own busy time.
     pub fn per_core_pps(&self) -> Vec<f64> {
-        let secs = self.elapsed_ns.max(1) as f64 / 1e9;
-        self.cores.iter().map(|c| c.packets as f64 / secs).collect()
+        per_core_pps(&self.cores)
     }
 
     /// Flushes this report into a telemetry bundle.
     pub fn record(&self, t: &RuntimeTelemetry) {
         record_cores(&self.cores, t);
     }
+}
+
+/// Each core's packets per second over the nanoseconds *it* spent
+/// serving ([`CoreStats::busy_ns`]), not over the shared window — jobs
+/// are dealt round-robin, so packets per core are near-equal by
+/// construction and only the busy time tells the cores apart. A core
+/// that never served reports 0.
+fn per_core_pps(cores: &[CoreStats]) -> Vec<f64> {
+    cores
+        .iter()
+        .map(|c| if c.busy_ns == 0 { 0.0 } else { c.packets as f64 / (c.busy_ns as f64 / 1e9) })
+        .collect()
 }
 
 /// Flushes per-core attribution into a telemetry bundle — shared by
@@ -191,98 +202,14 @@ fn record_cores(cores: &[CoreStats], t: &RuntimeTelemetry) {
 // Prefix → hop resolution
 // ---------------------------------------------------------------------
 
-/// Next-hop sentinel codes in [`PrefixHopMap`] slots.
+/// Next-hop sentinel codes in [`TagHop::code`].
 const EMPTY_HOP: u32 = u32::MAX;
 const LOCAL_HOP: u32 = u32::MAX - 1;
 
-/// A flat open-addressed map from FIB prefix to forwarding decision.
-///
-/// The live and frozen drivers resolve a found BMP to its hop with
-/// `fib.get(&bmp)` — a bit-by-bit binary-trie descent that charges no
-/// [`Cost`] (next-hop resolution is not part of the paper's lookup
-/// accounting) but burns real cycles on every hop. This map holds the
-/// identical prefix→hop relation in one power-of-two slot array:
-/// Fibonacci multiply-shift hash, linear probing, payload inlined.
-/// Same answers, no tree walk.
-#[derive(Debug, Clone)]
-struct PrefixHopMap<A: Address> {
-    slots: Vec<HopSlot<A>>,
-    mask: usize,
-    shift: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HopSlot<A: Address> {
-    bits: A,
-    len: u8,
-    code: u32,
-}
-
-impl<A: Address> PrefixHopMap<A> {
-    fn build(entries: impl Iterator<Item = (Prefix<A>, Hop)>) -> Self {
-        let entries: Vec<_> = entries.collect();
-        let cap = (entries.len() * 2).next_power_of_two().max(4);
-        let mut map = PrefixHopMap {
-            slots: vec![HopSlot { bits: A::ZERO, len: 0, code: EMPTY_HOP }; cap],
-            mask: cap - 1,
-            shift: 64 - cap.trailing_zeros(),
-        };
-        for (p, hop) in entries {
-            let code = match hop {
-                Hop::Local => LOCAL_HOP,
-                Hop::Via(nh) => {
-                    let nh = nh as u32;
-                    assert!(nh < LOCAL_HOP, "router id collides with hop sentinel");
-                    nh
-                }
-            };
-            let mut i = map.index(p.bits(), p.len());
-            while map.slots[i].code != EMPTY_HOP {
-                debug_assert!(
-                    !(map.slots[i].bits == p.bits() && map.slots[i].len == p.len()),
-                    "duplicate prefix in FIB"
-                );
-                i = (i + 1) & map.mask;
-            }
-            map.slots[i] = HopSlot { bits: p.bits(), len: p.len(), code };
-        }
-        map
-    }
-
-    #[inline]
-    fn index(&self, bits: A, len: u8) -> usize {
-        let v = bits.to_u128();
-        let h = (v as u64) ^ ((v >> 64) as u64) ^ ((len as u64) << 57);
-        (h.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize & self.mask
-    }
-
-    /// The forwarding decision for an exact FIB prefix, if installed —
-    /// the drop-in replacement for `fib.get(&p).map(|r| *fib.value(r))`.
-    #[inline]
-    fn get(&self, p: &Prefix<A>) -> Option<Hop> {
-        let (bits, len) = (p.bits(), p.len());
-        let mut i = self.index(bits, len);
-        loop {
-            let s = &self.slots[i];
-            if s.code == EMPTY_HOP {
-                return None;
-            }
-            if s.len == len && s.bits == bits {
-                return Some(if s.code == LOCAL_HOP {
-                    Hop::Local
-                } else {
-                    Hop::Via(s.code as RouterId)
-                });
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-}
-
 /// One lookup tag's precomputed forwarding state: the prefix the tag
-/// names and its [`PrefixHopMap`] decision. Built once per engine at
-/// freeze time, so the hot walk turns “hash the found prefix into the
-/// FIB map” into a single tag-addressed array read.
+/// names and the FIB's decision for it. Built once per engine at
+/// compile time, so the hot walk turns “hash the found prefix into the
+/// FIB” into a single tag-addressed array read.
 #[derive(Debug, Clone, Copy)]
 struct TagHop<A: Address> {
     prefix: Prefix<A>,
@@ -291,20 +218,23 @@ struct TagHop<A: Address> {
     code: u32,
 }
 
-/// Resolves every tag of `engine` through the router's hop map.
+/// Resolves every tag of `engine` through the router's FIB.
 fn tag_hops<A: Address, E: CompiledBackend<A>>(
     engine: &E,
-    hops: &PrefixHopMap<A>,
+    fib: &BinaryTrie<A, Hop>,
 ) -> Vec<TagHop<A>> {
     engine
         .tag_prefixes()
         .iter()
         .map(|&p| TagHop {
             prefix: p,
-            code: match hops.get(&p) {
+            code: match fib.get(&p).map(|r| *fib.value(r)) {
                 None => EMPTY_HOP,
                 Some(Hop::Local) => LOCAL_HOP,
-                Some(Hop::Via(nh)) => nh as u32,
+                Some(Hop::Via(nh)) => {
+                    assert!((nh as u32) < LOCAL_HOP, "router id collides with hop sentinel");
+                    nh as u32
+                }
             },
         })
         .collect()
@@ -314,20 +244,18 @@ fn tag_hops<A: Address, E: CompiledBackend<A>>(
 // Backend-compiled network
 // ---------------------------------------------------------------------
 
-/// One router's serving state: backend-compiled engines plus the
-/// precompiled hop map. The hop map and tag tables are immutable after
-/// construction and `Arc`-shared into every worker replica — together
-/// with the engines' own `Arc`-shared arenas this makes
-/// [`Self::replicate`] a handful of refcount bumps even at
-/// million-prefix scale.
+/// One router's serving state: backend-compiled engines plus their
+/// tag → hop tables. The tables are immutable after construction and
+/// `Arc`-shared into every worker replica — together with the engines'
+/// own `Arc`-shared arenas this makes [`Self::replicate`] a handful of
+/// refcount bumps even at million-prefix scale.
 #[derive(Debug, Clone)]
 struct CompiledRouter<A: Address, E: CompiledBackend<A>> {
     base: E,
-    /// Neighbor id → index into `engines`, [`EMPTY_HOP`]-style dense
-    /// sentinel ([`NO_ENGINE`]).
+    /// Neighbor id → index into `engines`, [`NO_ENGINE`] if none: a
+    /// direct-indexed table, since router ids are small and dense.
     by_neighbor: Arc<Vec<u32>>,
     engines: Vec<E>,
-    hops: Arc<PrefixHopMap<A>>,
     /// `base`'s tag → forwarding-decision table.
     base_hops: Arc<Vec<TagHop<A>>>,
     /// Per-neighbor-engine tag tables, parallel to `engines`.
@@ -348,7 +276,6 @@ impl<A: Address, E: CompiledBackend<A>> CompiledRouter<A, E> {
             base: self.base.replicate(),
             by_neighbor: Arc::clone(&self.by_neighbor),
             engines: self.engines.iter().map(E::replicate).collect(),
-            hops: Arc::clone(&self.hops),
             base_hops: Arc::clone(&self.base_hops),
             engine_hops: Arc::clone(&self.engine_hops),
             participates: self.participates,
@@ -357,10 +284,9 @@ impl<A: Address, E: CompiledBackend<A>> CompiledRouter<A, E> {
 }
 
 /// A read-only view of a [`Network`] with every clue engine compiled
-/// to one [`CompiledBackend`] and every FIB's prefix→hop relation
-/// flattened into a [`PrefixHopMap`] — the serving-runtime analogue of
-/// [`FrozenNetwork`](crate::FrozenNetwork), generic over the compiled
-/// layout. Every backend serves bit-identical results (the Cost-parity
+/// to one [`CompiledBackend`] and every engine tag resolved to its
+/// forwarding decision: routable from `&self`, shareable across
+/// threads. Every backend serves bit-identical results (the Cost-parity
 /// contract); they differ only in bytes touched per lookup.
 #[derive(Debug)]
 pub struct CompiledNetwork<'n, A: Address, E: CompiledBackend<A>> {
@@ -374,6 +300,132 @@ pub type StrideNetwork<'n, A> = CompiledNetwork<'n, A, StrideEngine<A>>;
 
 /// The serving runtime on the entropy-compressed backend.
 pub type CompressedNetwork<'n, A> = CompiledNetwork<'n, A, CompressedEngine<A>>;
+
+/// The compiled network on the frozen backend — the only backend with a
+/// stage-profiled routing path.
+pub type FrozenNetwork<'n, A> = CompiledNetwork<'n, A, FrozenEngine<A>>;
+
+impl<'n, A: Address> FrozenNetwork<'n, A> {
+    /// Freezes every engine in `net`. Fails if any engine is not
+    /// freezable (non-Regular family, indexed table, or an LRU cache —
+    /// caches make per-packet cost history-dependent, which the
+    /// deterministic multi-core walk cannot reproduce).
+    pub fn freeze(net: &'n Network<A>) -> Result<Self, FreezeError> {
+        Self::compile(net, &()).map_err(|e| match e {
+            BackendError::Freeze(e) => e,
+            BackendError::Stride(_) => unreachable!("frozen compilation has no stride stage"),
+        })
+    }
+
+    /// Forwards one packet exactly like [`Network::route_packet`] —
+    /// same hops, same per-hop [`Cost`], same Section 5.4 shifted work
+    /// — from `&self`, attributing every hop's engine lookup to
+    /// pipeline stages in `prof` (see [`StageProfiler`]). Semantically
+    /// inert: the profiled engine paths observe the walk deltas, they
+    /// never alter them. The shifted-work leg is raw FIB trie work
+    /// rather than an engine lookup and stays unprofiled.
+    pub fn route_packet_profiled(
+        &self,
+        src: RouterId,
+        dest: A,
+        prof: &mut StageProfiler,
+    ) -> PathTrace<A> {
+        let shift = self.net.config().shift_work_to_edges;
+        let mut hops = Vec::new();
+        let mut header = ClueHeader::none();
+        let mut prev: Option<RouterId> = None;
+        let mut cur = src;
+        let mut delivered = false;
+        let max_hops = self.net.topology().len() * 2 + 4;
+
+        for _ in 0..max_hops {
+            let mut cost = Cost::new();
+            let node = &self.routers[cur];
+            let fib = &self.net.routers()[cur].fib;
+            let engine_slot =
+                prev.map_or(NO_ENGINE, |p| node.by_neighbor.get(p).copied().unwrap_or(NO_ENGINE));
+            let used_clue =
+                node.participates && engine_slot != NO_ENGINE && header.clue.is_some();
+            let bmp = if used_clue {
+                let engine = &node.engines[engine_slot as usize];
+                engine.lookup_profiled(dest, header.decode(dest), &mut cost, prof).0
+            } else {
+                node.base.lookup_profiled(dest, None, &mut cost, prof).0
+            };
+            let next = bmp.and_then(|p| fib.get(&p)).map(|r| *fib.value(r));
+
+            let mut shift_cost = Cost::new();
+            if node.participates {
+                if let Some(p) = bmp {
+                    header = ClueHeader::with_clue(&p);
+                }
+                if shift {
+                    if let Some(p) = self.net.shifted_bmp(next, bmp, dest, &mut shift_cost) {
+                        header = ClueHeader::with_clue(&p);
+                    }
+                }
+            }
+
+            hops.push(HopRecord { router: cur, from: prev, bmp, cost, shift_cost, used_clue });
+
+            match next {
+                Some(Hop::Local) => {
+                    delivered = true;
+                    break;
+                }
+                Some(Hop::Via(nh)) => {
+                    prev = Some(cur);
+                    cur = nh;
+                }
+                None => break,
+            }
+        }
+        PathTrace { dest, hops, delivered }
+    }
+
+    /// As [`Self::run_workload`], routing every packet through
+    /// [`Self::route_packet_profiled`] and aggregating a
+    /// [`StageProfiler`]: one contiguous packet range and one profiler
+    /// per worker, merged in worker order like the cost accumulators,
+    /// so the predicted half of the attribution (visits, ticks, bytes)
+    /// is bit-identical for a given seed regardless of worker count —
+    /// only the measured nanoseconds vary with the machine.
+    ///
+    /// # Panics
+    /// Panics if `sources` is empty or the network has no origins.
+    pub fn profile_workload(
+        &self,
+        sources: &[RouterId],
+        packets: usize,
+        seed: u64,
+        workers: usize,
+    ) -> (RunStats, StageProfiler) {
+        assert!(!sources.is_empty(), "need at least one source");
+        let origins = self.net.config().origins.clone();
+        assert!(!origins.is_empty(), "need at least one origin");
+
+        let n = self.net.topology().len();
+        let per_worker = packets.div_ceil(workers.max(1)) as u64;
+        let run = drive(
+            workers,
+            ranges(packets as u64, per_worker),
+            |_| (Accum::new(n), StageProfiler::new()),
+            |(acc, prof), (lo, hi)| {
+                for i in lo..hi {
+                    let (src, dest) = draw_packet(self.net, sources, &origins, seed, i);
+                    acc.record(&self.route_packet_profiled(src, dest, prof));
+                }
+            },
+        );
+        let mut acc = Accum::new(n);
+        let mut prof = StageProfiler::new();
+        for (a, p) in &run.results {
+            acc.merge(a);
+            prof.merge(p);
+        }
+        (acc.finish(packets), prof)
+    }
+}
 
 impl<'n, A: Address> StrideNetwork<'n, A> {
     /// Stride-compiles every engine in `net`. Fails like a freeze
@@ -404,14 +456,12 @@ impl<'n, A: Address, E: CompiledBackend<A>> CompiledNetwork<'n, A, E> {
                     engines.push(E::compile(e, config)?);
                 }
                 let base = E::compile(&r.base, config)?;
-                let hops = PrefixHopMap::build(r.fib.iter().map(|(_, p, &h)| (p, h)));
-                let base_hops = tag_hops(&base, &hops);
-                let engine_hops = engines.iter().map(|e| tag_hops(e, &hops)).collect();
+                let base_hops = tag_hops(&base, &r.fib);
+                let engine_hops = engines.iter().map(|e| tag_hops(e, &r.fib)).collect();
                 Ok(CompiledRouter {
                     base,
                     by_neighbor: Arc::new(by_neighbor),
                     engines,
-                    hops: Arc::new(hops),
                     base_hops: Arc::new(base_hops),
                     engine_hops: Arc::new(engine_hops),
                     participates: r.participates,
@@ -551,10 +601,9 @@ fn prepare<A: Address, E: CompiledBackend<A>>(
 
 /// Routes packets `lo..hi` of the seeded workload, walking up to
 /// [`WALK_LANES`] packets in lockstep. Every hop matches
-/// [`FrozenNetwork::route_packet`](crate::FrozenNetwork::route_packet)
-/// — same hops, same per-hop [`Cost`], same Section 5.4 shifted work —
-/// recorded straight into the accumulator instead of materialising a
-/// `PathTrace`. Lanes only change the order packets' hops execute in,
+/// [`Network::route_packet`] — same hops, same per-hop [`Cost`], same
+/// Section 5.4 shifted work — recorded straight into the accumulator
+/// instead of materialising a `PathTrace`. Lanes only change the order packets' hops execute in,
 /// and [`Accum`]'s merges are commutative, so the folded [`RunStats`]
 /// is unchanged.
 #[allow(clippy::too_many_arguments)]
@@ -608,7 +657,7 @@ fn route_job_into<A: Address, E: CompiledBackend<A>>(
             };
 
             // Tag → (prefix, decision): one array read where the
-            // reference path hashes the found prefix into the FIB map.
+            // reference path hashes the found prefix into the FIB.
             let (bmp, next) = if tag == NO_TAG {
                 (None, None)
             } else {
@@ -714,10 +763,9 @@ impl ServeReport {
         self.packets as f64 / (self.elapsed_ns.max(1) as f64 / 1e9)
     }
 
-    /// Each core's packets per second over the (shared) timed region.
+    /// Each core's packets per second over its own busy time.
     pub fn per_core_pps(&self) -> Vec<f64> {
-        let secs = self.elapsed_ns.max(1) as f64 / 1e9;
-        self.cores.iter().map(|c| c.packets as f64 / secs).collect()
+        per_core_pps(&self.cores)
     }
 }
 
@@ -878,9 +926,9 @@ impl<'c, A: Address, E: CompiledBackend<A>> ServeCore<'c, A, E> {
 mod tests {
     use super::*;
     use crate::network::NetworkConfig;
-    use crate::parallel::run_workload_per_packet;
+    use crate::sim::run_workload_per_packet;
     use crate::topology::Topology;
-    use clue_core::{ClueEngine, EngineConfig, Method};
+    use clue_core::{ClueEngine, EngineConfig, Method, Stage};
     use clue_lookup::Family;
     use clue_trie::Ip4;
 
@@ -889,6 +937,19 @@ mod tests {
         let mut cfg = NetworkConfig::new(edges.clone(), EngineConfig::new(Family::Regular, method));
         cfg.specifics_per_origin = 12;
         cfg.seed = 42;
+        (Network::build(topo, cfg), edges)
+    }
+
+    /// A backbone in the Section 5.4 mode: edges resolve packets in the
+    /// core routers' tables for them.
+    fn build_shifting() -> (Network<Ip4>, Vec<RouterId>) {
+        let (topo, edges) = Topology::backbone(4, 1);
+        let mut cfg =
+            NetworkConfig::new(edges.clone(), EngineConfig::new(Family::Regular, Method::Advance));
+        cfg.specifics_per_origin = 8;
+        cfg.core = vec![0, 1, 2, 3];
+        cfg.shift_work_to_edges = true;
+        cfg.seed = 11;
         (Network::build(topo, cfg), edges)
     }
 
@@ -930,6 +991,105 @@ mod tests {
     }
 
     #[test]
+    fn more_workers_than_jobs_still_cover_every_packet() {
+        let (mut net, edges) = build(Method::Simple);
+        let seq = run_workload_per_packet(&mut net, &edges, 17, 5);
+        let frozen = FrozenNetwork::freeze(&net).unwrap();
+        let cfg = RuntimeConfig { workers: 8, batch: 4, ..RuntimeConfig::default() };
+        let (stats, report) = frozen.run_workload_timed(&edges, 17, 5, &cfg, None);
+        assert_eq!(stats, seq, "5 jobs over 8 workers");
+        assert_eq!(report.cores.len(), 8);
+        let hops: u64 = stats.per_router.iter().map(|s| s.samples()).sum();
+        assert_eq!(hops, stats.total_hops);
+    }
+
+    #[test]
+    fn cached_networks_refuse_to_freeze() {
+        let (topo, edges) = Topology::backbone(4, 2);
+        let mut cfg =
+            NetworkConfig::new(edges, EngineConfig::new(Family::Regular, Method::Advance));
+        cfg.specifics_per_origin = 8;
+        cfg.cache_capacity = Some(16);
+        cfg.seed = 1;
+        let net: Network<Ip4> = Network::build(topo, cfg);
+        assert_eq!(FrozenNetwork::freeze(&net).unwrap_err(), FreezeError::CacheEnabled);
+    }
+
+    #[test]
+    fn profiled_routing_matches_live_routing_hop_by_hop() {
+        for (mut net, edges) in [build(Method::Advance), build_shifting()] {
+            let origins = net.config().origins.clone();
+            let packets: Vec<_> =
+                (0..60).map(|i| draw_packet(&net, &edges, &origins, 21, i)).collect();
+            let mut prof = StageProfiler::new();
+            let profiled: Vec<_> = {
+                let frozen = FrozenNetwork::freeze(&net).unwrap();
+                let mut route = |&(src, dest)| frozen.route_packet_profiled(src, dest, &mut prof);
+                packets.iter().map(&mut route).collect()
+            };
+            let (mut charged, mut shifted) = (0u64, 0u64);
+            for (&(src, dest), p) in packets.iter().zip(&profiled) {
+                let l = net.route_packet(src, dest);
+                assert_eq!(p.delivered, l.delivered);
+                assert_eq!(p.hops.len(), l.hops.len());
+                for (ph, lh) in p.hops.iter().zip(&l.hops) {
+                    let hop = |h: &HopRecord<Ip4>| (h.router, h.bmp, h.used_clue);
+                    assert_eq!(hop(ph), hop(lh));
+                    assert_eq!(ph.cost, lh.cost, "cost parity at router {}", ph.router);
+                    assert_eq!(ph.shift_cost, lh.shift_cost);
+                    charged += ph.cost.total();
+                    shifted += ph.shift_cost.total();
+                }
+            }
+            // Every charged tick is attributed to exactly one stage; the
+            // unprofiled shift leg charges shift_cost, not cost.
+            assert_eq!(prof.total_ticks(), charged);
+            assert!(prof.stage(Stage::Root).visits > 0);
+            assert_eq!(shifted > 0, net.config().shift_work_to_edges);
+        }
+    }
+
+    #[test]
+    fn profile_workload_matches_run_workload_at_any_worker_count() {
+        let (net, edges) = build(Method::Advance);
+        let frozen = FrozenNetwork::freeze(&net).unwrap();
+        let plain = frozen.run_workload(&edges, 90, 17, 3);
+        let (s1, p1) = frozen.profile_workload(&edges, 90, 17, 1);
+        let (s4, p4) = frozen.profile_workload(&edges, 90, 17, 4);
+        assert_eq!(s1, plain, "profiling must not change the workload stats");
+        assert_eq!(s4, plain);
+        assert_eq!(p1.lookups(), plain.total_hops, "one profiled lookup per hop");
+        assert_eq!(p4.lookups(), p1.lookups());
+        // The predicted half of the attribution is deterministic; only
+        // the measured nanoseconds depend on the machine and workers.
+        assert_eq!(p4.total_ticks(), p1.total_ticks());
+        assert_eq!(p4.total_bytes(), p1.total_bytes());
+        for stage in Stage::all() {
+            assert_eq!(p4.stage(stage).visits, p1.stage(stage).visits, "{}", stage.label());
+            assert_eq!(p4.stage(stage).ticks, p1.stage(stage).ticks, "{}", stage.label());
+            assert_eq!(p4.stage(stage).bytes, p1.stage(stage).bytes, "{}", stage.label());
+        }
+        assert!(p1.total_ticks() > 0);
+    }
+
+    #[test]
+    fn per_core_rates_divide_by_each_cores_own_busy_time() {
+        let core =
+            |worker, busy_ns| CoreStats { worker, packets: 1_000, busy_ns, ..CoreStats::default() };
+        let cores = vec![core(0, 1_000_000), core(1, 2_000_000), core(2, 0)];
+        let report = RuntimeReport { elapsed_ns: 4_000_000, replica_clone_ns: 0, cores };
+        assert_eq!(report.per_core_pps(), vec![1e6, 5e5, 0.0], "an idle core reports 0");
+        let serve = ServeReport {
+            packets: 3_000,
+            elapsed_ns: 4_000_000,
+            replica_clone_ns: 0,
+            stats: EngineStats::default(),
+            cores: report.cores.clone(),
+        };
+        assert_eq!(serve.per_core_pps(), report.per_core_pps());
+    }
+
+    #[test]
     fn runtime_report_attributes_every_packet_to_a_core() {
         let (net, edges) = build(Method::Advance);
         let stride = StrideNetwork::freeze(&net, StrideConfig::default()).unwrap();
@@ -960,17 +1120,13 @@ mod tests {
 
     #[test]
     fn shift_work_mode_is_preserved() {
-        let (topo, edges) = Topology::backbone(4, 1);
-        let mut cfg =
-            NetworkConfig::new(edges.clone(), EngineConfig::new(Family::Regular, Method::Advance));
-        cfg.specifics_per_origin = 8;
-        cfg.core = vec![0, 1, 2, 3];
-        cfg.shift_work_to_edges = true;
-        cfg.seed = 11;
-        let mut net: Network<Ip4> = Network::build(topo, cfg);
+        let (mut net, edges) = build_shifting();
         let seq = run_workload_per_packet(&mut net, &edges, 60, 2);
         let stride = StrideNetwork::freeze(&net, StrideConfig::default()).unwrap();
-        assert_eq!(stride.run_workload(&edges, 60, 2, 4), seq);
+        assert_eq!(stride.run_workload(&edges, 60, 2, 4), seq, "stride backend");
+        let frozen = FrozenNetwork::freeze(&net).unwrap();
+        assert_eq!(frozen.run_workload(&edges, 60, 2, 4), seq, "frozen backend");
+        assert!(seq.per_router.iter().any(|s| s.sum().total() > 0));
     }
 
     fn engine_fixture() -> (ClueEngine<Ip4>, Vec<Ip4>, Vec<Option<Prefix<Ip4>>>) {
@@ -1162,15 +1318,27 @@ mod tests {
     }
 
     #[test]
-    fn hop_map_answers_exactly_like_the_fib() {
+    fn every_tag_hop_answers_exactly_like_the_fib() {
         let (net, _) = build(Method::Advance);
-        for r in net.routers() {
-            let map = PrefixHopMap::build(r.fib.iter().map(|(_, p, &h)| (p, h)));
-            for (rid, p, &hop) in r.fib.iter() {
-                let _ = rid;
-                assert_eq!(map.get(&p), Some(hop), "prefix {p}");
+        let stride = StrideNetwork::freeze(&net, StrideConfig::default()).unwrap();
+        let mut tags = 0;
+        for (compiled, live) in stride.routers.iter().zip(net.routers()) {
+            let fib = &live.fib;
+            let tables = std::iter::once((&compiled.base, compiled.base_hops.as_slice()))
+                .chain(compiled.engines.iter().zip(compiled.engine_hops.iter().map(Vec::as_slice)));
+            for (engine, table) in tables {
+                assert_eq!(engine.tag_prefixes().len(), table.len());
+                for (&p, th) in engine.tag_prefixes().iter().zip(table) {
+                    let want = match fib.get(&p).map(|r| *fib.value(r)) {
+                        None => EMPTY_HOP,
+                        Some(Hop::Local) => LOCAL_HOP,
+                        Some(Hop::Via(nh)) => nh as u32,
+                    };
+                    assert_eq!((th.prefix, th.code), (p, want), "tag for {p}");
+                    tags += 1;
+                }
             }
-            assert_eq!(map.get(&"203.0.113.0/24".parse().unwrap()), None);
         }
+        assert!(tags > 0);
     }
 }

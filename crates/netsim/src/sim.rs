@@ -4,12 +4,12 @@
 use clue_telemetry::{
     Counter, Histogram, Registry, MEMORY_REFERENCE_BOUNDS, PREFIX_LENGTH_BOUNDS,
 };
-use clue_trie::{Address, CostStats};
+use clue_trie::{Address, Cost, CostStats};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{RngExt, SeedableRng};
 
-use crate::network::Network;
+use crate::network::{Network, PathTrace};
 use crate::topology::RouterId;
 
 /// The simulator's per-hop metric bundle, registered under
@@ -42,6 +42,23 @@ impl HopTelemetry {
                 "Length of the BMP found at each hop",
                 PREFIX_LENGTH_BOUNDS,
             ),
+        }
+    }
+
+    fn observe<A: Address>(&self, trace: &PathTrace<A>) {
+        self.packets.inc();
+        if trace.delivered {
+            self.delivered.inc();
+        }
+        for hop in &trace.hops {
+            self.hops.inc();
+            if hop.used_clue {
+                self.clue_hops.inc();
+            }
+            let mut full = hop.cost;
+            full += hop.shift_cost;
+            self.hop_references.observe(full.total());
+            self.bmp_length.observe(hop.bmp.map_or(0, |p| p.len()) as u64);
         }
     }
 }
@@ -160,7 +177,7 @@ pub fn run_workload<A: Address>(
     packets: usize,
     seed: u64,
 ) -> RunStats {
-    run_workload_impl(net, sources, packets, seed, None)
+    run_live(net, sources, packets, seed, Draws::Shared, None)
 }
 
 /// As [`run_workload`], additionally recording per-hop telemetry
@@ -174,94 +191,219 @@ pub fn run_workload_instrumented<A: Address>(
     registry: &Registry,
 ) -> RunStats {
     let telemetry = HopTelemetry::registered(registry);
-    let stats = run_workload_impl(net, sources, packets, seed, Some(&telemetry));
+    let stats = run_live(net, sources, packets, seed, Draws::Shared, Some(&telemetry));
     stats.export_into(registry);
     stats
 }
 
-fn run_workload_impl<A: Address>(
+/// The scalar reference for the compiled network: routes the workload
+/// sequentially through the **live**
+/// [`ClueEngine`](clue_core::ClueEngine)s, packet `i` drawn from its
+/// own seeded stream rather than one shared stream. For any
+/// compilable network,
+/// [`CompiledNetwork::run_workload`](crate::CompiledNetwork::run_workload)
+/// equals this at every worker count — the property
+/// `tests/runtime_equivalence.rs` pins down.
+pub fn run_workload_per_packet<A: Address>(
     net: &mut Network<A>,
     sources: &[RouterId],
     packets: usize,
     seed: u64,
+) -> RunStats {
+    run_live(net, sources, packets, seed, Draws::PerPacket, None)
+}
+
+/// Where a live run draws its packets from.
+#[derive(Clone, Copy)]
+enum Draws {
+    /// One sequential stream seeded once ([`run_workload`]).
+    Shared,
+    /// One stream per packet index ([`run_workload_per_packet`]).
+    PerPacket,
+}
+
+fn run_live<A: Address>(
+    net: &mut Network<A>,
+    sources: &[RouterId],
+    packets: usize,
+    seed: u64,
+    draws: Draws,
     telemetry: Option<&HopTelemetry>,
 ) -> RunStats {
     assert!(!sources.is_empty(), "need at least one source");
     let origins = net.config().origins.clone();
     assert!(!origins.is_empty(), "need at least one origin");
     let mut rng = StdRng::seed_from_u64(seed);
-
-    let n = net.topology().len();
-    let mut per_router = vec![CostStats::new(); n];
-    let mut per_hop_position: Vec<CostStats> = Vec::new();
-    let mut bmp_len_sum: Vec<(f64, u64)> = Vec::new();
-    let mut delivered = 0usize;
-    let mut total = 0u64;
-    let mut clue_hops = 0u64;
-    let mut total_hops = 0u64;
-
-    for _ in 0..packets {
-        let src = *sources.choose(&mut rng).expect("non-empty sources");
-        // Pick an origin different from the source router itself.
-        let oi = loop {
-            let i = rng.random_range(0..origins.len());
-            if origins[i] != src || origins.len() == 1 {
-                break i;
-            }
+    let mut acc = Accum::new(net.topology().len());
+    for i in 0..packets as u64 {
+        let (src, dest) = match draws {
+            Draws::Shared => draw(net, sources, &origins, &mut rng),
+            Draws::PerPacket => draw_packet(net, sources, &origins, seed, i),
         };
-        let dest = net.random_destination(oi, &mut rng);
         let trace = net.route_packet(src, dest);
-        if trace.delivered {
-            delivered += 1;
-        }
+        acc.record(&trace);
         if let Some(t) = telemetry {
-            t.packets.inc();
-            if trace.delivered {
-                t.delivered.inc();
-            }
+            t.observe(&trace);
+        }
+    }
+    acc.finish(packets)
+}
+
+/// Draws one packet's (source, destination) pair: a source from
+/// `sources`, then a destination in a random origin's address space,
+/// skipping an origin co-located with the source.
+fn draw<A: Address>(
+    net: &Network<A>,
+    sources: &[RouterId],
+    origins: &[RouterId],
+    rng: &mut StdRng,
+) -> (RouterId, A) {
+    let src = *sources.choose(rng).expect("non-empty sources");
+    let oi = loop {
+        let i = rng.random_range(0..origins.len());
+        if origins[i] != src || origins.len() == 1 {
+            break i;
+        }
+    };
+    (src, net.random_destination(oi, rng))
+}
+
+/// SplitMix64 finalizer over a (seed, packet index) pair: the root of
+/// packet `i`'s private RNG stream. Cheap, and two distinct indices
+/// never collide for a fixed seed (the finalizer is a bijection).
+pub(crate) fn packet_seed(seed: u64, index: u64) -> u64 {
+    let mut z = seed ^ index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Draws packet `i`'s (source, destination) pair from its private
+/// stream, so what a packet is does not depend on which worker routes
+/// it or what ran before it — the shared half of the
+/// sequential/multi-core determinism contract.
+pub(crate) fn draw_packet<A: Address>(
+    net: &Network<A>,
+    sources: &[RouterId],
+    origins: &[RouterId],
+    seed: u64,
+    index: u64,
+) -> (RouterId, A) {
+    draw(net, sources, origins, &mut StdRng::seed_from_u64(packet_seed(seed, index)))
+}
+
+/// Order-merged workload accumulator; integer-only so merge grouping
+/// cannot change the result — every field is a sum or a maximum, so
+/// the merge is commutative and associative, and *any* exactly-once
+/// partition of the packet stream (dealt batches in
+/// [`crate::runtime`], or one sequential pass) folds to the same
+/// [`RunStats`].
+pub(crate) struct Accum {
+    per_router: Vec<CostStats>,
+    per_hop_position: Vec<CostStats>,
+    bmp_len_sum: Vec<(u64, u64)>,
+    delivered: usize,
+    total: u64,
+    clue_hops: u64,
+    total_hops: u64,
+}
+
+impl Accum {
+    pub(crate) fn new(routers: usize) -> Self {
+        Accum {
+            per_router: vec![CostStats::new(); routers],
+            per_hop_position: Vec::new(),
+            bmp_len_sum: Vec::new(),
+            delivered: 0,
+            total: 0,
+            clue_hops: 0,
+            total_hops: 0,
+        }
+    }
+
+    pub(crate) fn record<A: Address>(&mut self, trace: &PathTrace<A>) {
+        if trace.delivered {
+            self.record_delivered();
         }
         for (pos, hop) in trace.hops.iter().enumerate() {
             // A router's load includes any Section 5.4 work it performs
             // on behalf of its downstream neighbor.
             let mut full = hop.cost;
             full += hop.shift_cost;
-            per_router[hop.router].record(full);
-            if per_hop_position.len() <= pos {
-                per_hop_position.resize(pos + 1, CostStats::new());
-                bmp_len_sum.resize(pos + 1, (0.0, 0));
-            }
-            per_hop_position[pos].record(full);
-            let (s, c) = &mut bmp_len_sum[pos];
-            *s += hop.bmp.map_or(0, |p| p.len()) as f64;
-            *c += 1;
-            total += full.total();
-            total_hops += 1;
-            if hop.used_clue {
-                clue_hops += 1;
-            }
-            if let Some(t) = telemetry {
-                t.hops.inc();
-                if hop.used_clue {
-                    t.clue_hops.inc();
-                }
-                t.hop_references.observe(full.total());
-                t.bmp_length.observe(hop.bmp.map_or(0, |p| p.len()) as u64);
-            }
+            self.record_hop(pos, hop.router, hop.bmp.map_or(0, |p| p.len()), full, hop.used_clue);
         }
     }
 
-    RunStats {
-        per_router,
-        bmp_len_by_position: bmp_len_sum
-            .iter()
-            .map(|(s, c)| if *c == 0 { 0.0 } else { s / *c as f64 })
-            .collect(),
-        per_hop_position,
-        packets,
-        delivered,
-        total_accesses: total,
-        clue_hops,
-        total_hops,
+    /// One hop, recorded without materialising a [`PathTrace`] — the
+    /// allocation-free twin of [`Self::record`] used by the serving
+    /// runtime's inline walk. `full` is the hop's own cost plus its
+    /// Section 5.4 shifted work, exactly as `record` folds them.
+    #[inline]
+    pub(crate) fn record_hop(
+        &mut self,
+        pos: usize,
+        router: RouterId,
+        bmp_len: u8,
+        full: Cost,
+        used_clue: bool,
+    ) {
+        let t = full.total();
+        self.per_router[router].record_with_total(full, t);
+        if self.per_hop_position.len() <= pos {
+            self.per_hop_position.resize(pos + 1, CostStats::new());
+            self.bmp_len_sum.resize(pos + 1, (0, 0));
+        }
+        self.per_hop_position[pos].record_with_total(full, t);
+        let (s, c) = &mut self.bmp_len_sum[pos];
+        *s += bmp_len as u64;
+        *c += 1;
+        self.total += t;
+        self.total_hops += 1;
+        if used_clue {
+            self.clue_hops += 1;
+        }
+    }
+
+    pub(crate) fn record_delivered(&mut self) {
+        self.delivered += 1;
+    }
+
+    pub(crate) fn merge(&mut self, other: &Accum) {
+        for (a, b) in self.per_router.iter_mut().zip(&other.per_router) {
+            a.merge(b);
+        }
+        if self.per_hop_position.len() < other.per_hop_position.len() {
+            self.per_hop_position.resize(other.per_hop_position.len(), CostStats::new());
+            self.bmp_len_sum.resize(other.bmp_len_sum.len(), (0, 0));
+        }
+        for (a, b) in self.per_hop_position.iter_mut().zip(&other.per_hop_position) {
+            a.merge(b);
+        }
+        for (a, b) in self.bmp_len_sum.iter_mut().zip(&other.bmp_len_sum) {
+            a.0 += b.0;
+            a.1 += b.1;
+        }
+        self.delivered += other.delivered;
+        self.total += other.total;
+        self.clue_hops += other.clue_hops;
+        self.total_hops += other.total_hops;
+    }
+
+    pub(crate) fn finish(self, packets: usize) -> RunStats {
+        RunStats {
+            per_router: self.per_router,
+            bmp_len_by_position: self
+                .bmp_len_sum
+                .iter()
+                .map(|&(s, c)| if c == 0 { 0.0 } else { s as f64 / c as f64 })
+                .collect(),
+            per_hop_position: self.per_hop_position,
+            packets,
+            delivered: self.delivered,
+            total_accesses: self.total,
+            clue_hops: self.clue_hops,
+            total_hops: self.total_hops,
+        }
     }
 }
 

@@ -1,16 +1,15 @@
 //! The serving runtime's determinism contract: for any network and
-//! seed, [`StrideNetwork::run_workload`] is **bit-identical** to the
+//! seed, [`CompiledNetwork::run_workload`] is **bit-identical** to the
 //! sequential live-engine reference [`run_workload_per_packet`] at
-//! every worker count, and [`serve_lookups`] returns exactly the
-//! plain batch lookup of the same inputs at every worker count.
+//! every worker count on every backend, and [`serve_lookups`] returns
+//! exactly the plain batch lookup of the same inputs at every worker
+//! count.
 
-use clue_core::{
-    ClueEngine, EngineConfig, EpochCell, Method, StrideConfig,
-};
+use clue_core::{ClueEngine, CompressedConfig, EngineConfig, EpochCell, Method, StrideConfig};
 use clue_lookup::Family;
 use clue_netsim::{
-    run_workload_per_packet, serve_lookups, Network, NetworkConfig, RuntimeConfig, StrideNetwork,
-    Topology,
+    run_workload_per_packet, serve_lookups, CompressedNetwork, FrozenNetwork, Network,
+    NetworkConfig, RunStats, RuntimeConfig, RuntimeReport, StrideNetwork, Topology,
 };
 use clue_trie::{Ip4, Prefix};
 use proptest::prelude::*;
@@ -29,8 +28,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Multi-core routing folds to the same [`RunStats`]
-    /// as the scalar walk, bit for bit, regardless of worker count or
-    /// batch size.
+    /// as the scalar walk, bit for bit, regardless of backend, worker
+    /// count or batch size.
     #[test]
     fn runtime_is_bit_identical_to_the_scalar_reference(
         core in 2usize..5,
@@ -58,16 +57,26 @@ proptest! {
         let packets = 120;
         let reference = run_workload_per_packet(&mut net, &edges, packets, run_seed);
         let stride = StrideNetwork::freeze(&net, StrideConfig::default()).unwrap();
-        for workers in WORKER_COUNTS {
-            let runtime_cfg = RuntimeConfig { workers, batch, ..RuntimeConfig::default() };
-            let (stats, report) =
-                stride.run_workload_timed(&edges, packets, run_seed, &runtime_cfg, None);
-            prop_assert_eq!(
-                &stats, &reference,
-                "workers={} batch={} diverged from the scalar reference", workers, batch
-            );
-            let attributed: u64 = report.cores.iter().map(|c| c.packets).sum();
-            prop_assert_eq!(attributed, packets as u64, "every packet attributed to a core");
+        let frozen = FrozenNetwork::freeze(&net).unwrap();
+        let compressed = CompressedNetwork::compile(&net, &CompressedConfig).unwrap();
+        type Run<'a> = &'a dyn Fn(&RuntimeConfig) -> (RunStats, RuntimeReport);
+        let views: [(&str, Run); 3] = [
+            ("stride", &|c| stride.run_workload_timed(&edges, packets, run_seed, c, None)),
+            ("frozen", &|c| frozen.run_workload_timed(&edges, packets, run_seed, c, None)),
+            ("compressed", &|c| compressed.run_workload_timed(&edges, packets, run_seed, c, None)),
+        ];
+        for (backend, run) in views {
+            for workers in WORKER_COUNTS {
+                let (stats, report) =
+                    run(&RuntimeConfig { workers, batch, ..RuntimeConfig::default() });
+                prop_assert_eq!(
+                    &stats, &reference,
+                    "{} at workers={} batch={} diverged from the scalar reference",
+                    backend, workers, batch
+                );
+                let attributed: u64 = report.cores.iter().map(|c| c.packets).sum();
+                prop_assert_eq!(attributed, packets as u64, "every packet attributed to a core");
+            }
         }
     }
 

@@ -21,8 +21,9 @@
 //! * [`trace`] — structured per-lookup events ([`LookupEvent`]) with a
 //!   pluggable [`Subscriber`]; the default [`RingBufferSubscriber`]
 //!   keeps the last N events in bounded memory.
-//! * [`export`] — renders any registry to Prometheus text-exposition
-//!   format or to JSON (hand-rolled writer; no serde).
+//! * [`to_prometheus`] / [`to_json`] — render any registry to
+//!   Prometheus text-exposition format or to JSON (hand-rolled writer;
+//!   no serde).
 //! * [`LookupTelemetry`] / [`CacheTelemetry`] — pre-named metric
 //!   bundles for the workspace's hot paths, following the
 //!   `clue_<component>_<metric>` naming convention

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 cargo build --release --workspace
 cargo test -q --workspace
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: a doc link to a deleted or private item, or an
+# ambiguous one, fails here rather than rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 # The forwarding benchmark is a package of its own, outside the
 # workspace, so `--workspace` above does not reach its tests. They
@@ -26,8 +29,8 @@ if [ "$unsafe_allowed" != "$(printf '%s\n' crates/core/src/epoch.rs crates/core/
 fi
 
 # Throughput smoke: the batched-frozen, stride-compiled,
-# entropy-compressed and sharded-parallel pipelines must agree exactly
-# with the scalar engine
+# entropy-compressed and multi-core network pipelines must agree
+# exactly with the scalar engine
 # (--check aborts on any divergence); also seeds the BENCH_*
 # trajectory. The perf gates are part of the bar: the stride path must
 # beat the frozen batch path on the same (paper-scale table) workload,
