@@ -7,7 +7,7 @@
 use std::hint::black_box;
 
 use clue_bench::isp_pair;
-use clue_core::{ClueEngine, Decision, EngineConfig, EpochEngine, Method};
+use clue_core::{ClueEngine, CompiledBackend, Decision, EngineConfig, EpochEngine, Method};
 use clue_lookup::Family;
 use clue_netsim::{run_churn, ChurnDriverConfig};
 use clue_tablegen::{generate_churn, ChurnConfig};

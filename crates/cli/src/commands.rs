@@ -444,7 +444,7 @@ fn metrics(args: &[String]) -> Result<(), String> {
     let mut stride = frozen
         .compile_stride(clue_core::StrideConfig::default())
         .map_err(|e| e.to_string())?;
-    stride.attach_stride_telemetry(clue_telemetry::StrideTelemetry::registered(
+    stride.attach_stride_telemetry(clue_telemetry::BatchTelemetry::registered(
         &registry,
         "clue_stride",
     ));
@@ -498,8 +498,6 @@ fn metrics(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Starts the zero-dependency scrape server on `addr` and announces
-/// the endpoint; the returned guard keeps it serving until dropped.
 /// Parses and validates the value of a `--threads N` flag — shared by
 /// every subcommand with a worker pool (`throughput --runtime`,
 /// `fleet`), so the validation rules can't drift apart.
@@ -512,6 +510,8 @@ fn parse_threads(it: &mut std::slice::Iter<'_, String>) -> Result<usize, String>
     Ok(threads)
 }
 
+/// Starts the zero-dependency scrape server on `addr` and announces
+/// the endpoint; the returned guard keeps it serving until dropped.
 fn start_scrape(addr: &str, registry: &Arc<Registry>) -> Result<ScrapeServer, String> {
     let server =
         ScrapeServer::start(addr, registry.clone()).map_err(|e| format!("--serve {addr}: {e}"))?;
@@ -519,7 +519,6 @@ fn start_scrape(addr: &str, registry: &Arc<Registry>) -> Result<ScrapeServer, St
     Ok(server)
 }
 
-/// `{:.2}`-formats an optional statistic, `-` when undefined.
 /// One backend's row of the human-readable CRAM table: arena bytes per
 /// receiver prefix, the byte split, and the model's expected per-lookup
 /// references and cache misses.
@@ -565,6 +564,7 @@ fn cram_json(json: &mut String, name: &str, prefixes: usize, r: &CramReport) {
     );
 }
 
+/// `{:.2}`-formats an optional statistic, `-` when undefined.
 fn fmt_opt(v: Option<f64>) -> String {
     v.map_or_else(|| "-".to_owned(), |x| format!("{x:.2}"))
 }
@@ -1180,18 +1180,37 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Times `f` `reps` times and keeps the best run — the standard
+/// Times each leg `reps` times and keeps its best run — the standard
 /// treatment against scheduler noise on a shared (often single-CPU)
-/// box. Only used for the stateless read-only pipelines, where a
-/// repeat is the identical computation.
-fn best_secs<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
+/// box. The legs are interleaved per round (round r times leg 0, then
+/// leg 1, …), so a host-speed swing lands on every leg rather than on
+/// whichever one happened to be running. Only used for the stateless
+/// read-only pipelines, where a repeat is the identical computation.
+fn best_secs<const N: usize>(reps: usize, mut legs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let mut best = [f64::INFINITY; N];
     for _ in 0..reps {
-        let t0 = std::time::Instant::now();
-        f();
-        best = best.min(t0.elapsed().as_secs_f64());
+        for (leg, best) in legs.iter_mut().zip(&mut best) {
+            let t0 = std::time::Instant::now();
+            leg();
+            *best = best.min(t0.elapsed().as_secs_f64());
+        }
     }
-    best.max(1e-9)
+    best.map(|b| b.max(1e-9))
+}
+
+/// The single-backend matrix leg: `engine`'s batch timed best-of-3
+/// into `out`, as packets/s, with its CRAM layout report.
+fn time_backend<E: CompiledBackend<Ip4>>(
+    engine: &E,
+    dests: &[Ip4],
+    clues: &[Option<Prefix<Ip4>>],
+    out: &mut [clue_core::Decision<Ip4>],
+    prefetch: usize,
+) -> (f64, CramReport) {
+    let [secs] = best_secs(3, [&mut || {
+        let _ = engine.lookup_batch_interleaved(dests, clues, out, prefetch);
+    }]);
+    (dests.len() as f64 / secs, engine.cram())
 }
 
 /// Benchmarks the four lookup pipelines — mutable scalar engine,
@@ -1309,7 +1328,7 @@ fn throughput(args: &[String]) -> Result<(), String> {
         Some(addr) => {
             scalar.instrument(&registry);
             if let Some(stride) = &mut stride {
-                stride.attach_stride_telemetry(clue_telemetry::StrideTelemetry::registered(
+                stride.attach_stride_telemetry(clue_telemetry::BatchTelemetry::registered(
                     &registry,
                     "clue_stride",
                 ));
@@ -1354,29 +1373,15 @@ fn throughput(args: &[String]) -> Result<(), String> {
         let mut out = vec![clue_core::Decision::default(); dests.len()];
         let (pps, cram) = match kind {
             clue_core::BackendKind::Frozen => {
-                let pps = packets as f64
-                    / best_secs(3, || {
-                        let _ = frozen.lookup_batch(&dests, &clues, &mut out);
-                    });
-                (pps, frozen.cram())
+                time_backend(&frozen, &dests, &clues, &mut out, prefetch)
             }
             clue_core::BackendKind::Stride => {
                 let stride = stride.as_ref().expect("compiled for this mode");
-                let pps = packets as f64
-                    / best_secs(3, || {
-                        let _ =
-                            stride.lookup_batch_interleaved(&dests, &clues, &mut out, prefetch);
-                    });
-                (pps, stride.cram())
+                time_backend(stride, &dests, &clues, &mut out, prefetch)
             }
             clue_core::BackendKind::Compressed => {
                 let compressed = compressed.as_ref().expect("compiled for this mode");
-                let pps = packets as f64
-                    / best_secs(3, || {
-                        let _ = compressed
-                            .lookup_batch_interleaved(&dests, &clues, &mut out, prefetch);
-                    });
-                (pps, compressed.cram())
+                time_backend(compressed, &dests, &clues, &mut out, prefetch)
             }
         };
         let mut equivalent = true;
@@ -1422,28 +1427,34 @@ fn throughput(args: &[String]) -> Result<(), String> {
     let stride = stride.as_ref().expect("compiled in full-matrix mode");
     let compressed = compressed.as_ref().expect("compiled in full-matrix mode");
 
+    // The three batch legs take their best of 3 rounds, interleaved
+    // per round, so `stride_beats_batch` compares rates measured under
+    // the same host conditions.
     let mut out = vec![clue_core::Decision::default(); dests.len()];
-    let batch_pps = packets as f64
-        / best_secs(3, || {
-            let _ = frozen.lookup_batch(&dests, &clues, &mut out);
-        });
-
     let mut stride_out = vec![clue_core::Decision::default(); dests.len()];
-    let stride_pps = packets as f64
-        / best_secs(3, || {
-            let _ = stride.lookup_batch_interleaved(&dests, &clues, &mut stride_out, prefetch);
-        });
-
     let mut compressed_out = vec![clue_core::Decision::default(); dests.len()];
-    let compressed_pps = packets as f64
-        / best_secs(3, || {
-            let _ = compressed.lookup_batch_interleaved(
-                &dests,
-                &clues,
-                &mut compressed_out,
-                prefetch,
-            );
-        });
+    let [batch_secs, stride_secs, compressed_secs] = best_secs(
+        3,
+        [
+            &mut || {
+                let _ = frozen.lookup_batch(&dests, &clues, &mut out);
+            },
+            &mut || {
+                let _ = stride.lookup_batch_interleaved(&dests, &clues, &mut stride_out, prefetch);
+            },
+            &mut || {
+                let _ = compressed.lookup_batch_interleaved(
+                    &dests,
+                    &clues,
+                    &mut compressed_out,
+                    prefetch,
+                );
+            },
+        ],
+    );
+    let batch_pps = packets as f64 / batch_secs;
+    let stride_pps = packets as f64 / stride_secs;
+    let compressed_pps = packets as f64 / compressed_secs;
 
     let mut equivalent = true;
     if check {

@@ -1,39 +1,19 @@
-//! The [`CompiledBackend`] abstraction: one trait over every compiled
-//! lookup path.
-//!
-//! The workspace has grown three read-only compilations of a
-//! [`ClueEngine`] — the pointer-flattened [`FrozenEngine`], the
-//! multibit [`crate::StrideEngine`] and the entropy-compressed
-//! [`crate::CompressedEngine`] — and the serving runtime, the parallel
-//! harness and the fleet simulator each want to run on *any* of them.
-//! This trait captures the shared contract those consumers rely on:
-//!
-//! * compilation from a scalar engine (with a backend-specific config);
-//! * the Cost-parity lookup in scalar, split (prepare/finish) and
-//!   batched interleaved forms, plus the tag-resolving finish the
-//!   runtime's precomputed hop tables consume;
-//! * cheap [`CompiledBackend::replicate`] for per-core replicas;
-//! * a layout self-description (arena/bucket/dictionary bytes and a
-//!   per-level visit profile) feeding the [`CramReport`] cache model.
-//!
-//! Every implementation honors the same semantic baseline — identical
-//! BMP, [`LookupClass`] and tick-identical [`Cost`] versus the scalar
-//! engine — so backends are interchangeable *results-wise* and differ
-//! only in bytes touched per lookup. The equivalence property tests
-//! (`tests/*_prop.rs`) enforce this per backend; a future `planb`
-//! backend slots in by implementing this trait.
+//! Selecting and compiling a backend: [`BackendKind`] names the three
+//! read-only compilations of a [`ClueEngine`](crate::ClueEngine) — the
+//! pointer-flattened [`FrozenEngine`], the multibit [`StrideEngine`]
+//! and the entropy-compressed [`CompressedEngine`] — that the serving
+//! runtime, the fleet simulator and the CLI can run on, and
+//! [`BackendError`] says why a compilation was refused. Each engine
+//! implements [`crate::CompiledBackend`] in its own module; the clue
+//! flow they share is written once, in `flow.rs`.
 
 use std::fmt;
 use std::str::FromStr;
 
-use clue_telemetry::LookupClass;
-use clue_trie::{Address, Cost, Prefix};
-
-use crate::compressed::{CompressedConfig, CompressedEngine};
-use crate::cram::{CramLevel, CramReport};
-use crate::engine::{ClueEngine, EngineStats, Method};
-use crate::frozen::{Decision, FreezeError, FrozenEngine, FrozenNode};
-use crate::stride::{PreparedLookup, StrideConfig, StrideEngine, StrideError};
+use crate::compressed::CompressedEngine;
+use crate::flow::CompiledBackend;
+use crate::frozen::{FreezeError, FrozenEngine};
+use crate::stride::{StrideEngine, StrideError};
 
 /// Why a backend could not be compiled from a scalar engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -113,397 +93,113 @@ impl FromStr for BackendKind {
     }
 }
 
-/// A compiled, read-only lookup engine; see the module docs. All
-/// methods forward to the concrete engines' inherent implementations —
-/// the trait adds no indirection on the hot path when used with a
-/// concrete type or a monomorphized generic.
-pub trait CompiledBackend<A: Address>: Clone + fmt::Debug + Send + Sync + Sized + 'static {
-    /// The canonical lowercase backend name.
-    const NAME: &'static str;
-
-    /// Backend-specific compilation knobs.
-    type Config: Clone + Default + Send + Sync;
-
-    /// Compiles a scalar engine into this backend.
-    fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError>;
-
-    /// The compiled method flavour.
-    fn method(&self) -> Method;
-
-    /// One lookup; Cost-parity with the scalar engine.
-    fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass);
-
-    /// As [`Self::lookup`], packaged as a [`Decision`].
-    fn lookup_decision(&self, dest: A, clue: Option<Prefix<A>>) -> Decision<A> {
-        let mut cost = Cost::new();
-        let (bmp, class) = self.lookup(dest, clue, &mut cost);
-        Decision { bmp, class, cost }
-    }
-
-    /// Decode-and-prefetch half of the split lookup.
-    fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup;
-
-    /// Resolves a prepared lookup to a dense route tag into
-    /// [`Self::tag_prefixes`] ([`crate::NO_TAG`] for no match).
-    fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass);
-
-    /// The tag → prefix dictionary behind [`Self::lookup_finish_tag`].
-    fn tag_prefixes(&self) -> &[Prefix<A>];
-
-    /// Batched lookup in lockstep prefetch groups of `group` packets
-    /// (a latency treatment only — decisions and stats are identical
-    /// at every group size, including on backends that cannot
-    /// prefetch and ignore it).
-    fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-    ) -> EngineStats;
-
-    /// A telemetry-detached per-core replica sharing the compiled
-    /// arenas (cheap — no deep copy).
-    fn replicate(&self) -> Self;
-
-    /// Total resident bytes of every compiled structure.
-    fn memory_bytes(&self) -> usize;
-
-    /// Bytes of the walk arena (what a clueless lookup traverses).
-    fn arena_bytes(&self) -> u64;
-
-    /// Bytes of the clue-probe structures.
-    fn bucket_bytes(&self) -> u64;
-
-    /// Bytes of the tag → prefix dictionary.
-    fn dict_bytes(&self) -> u64;
-
-    /// The walk arena as `(bytes, expected visits per uniform-random
-    /// clueless lookup)` levels, hottest first — input to the CRAM
-    /// cache-residency model.
-    fn cram_levels(&self) -> Vec<CramLevel>;
-
-    /// Runs the [`CramReport`] cache model over this layout.
-    fn cram(&self) -> CramReport {
-        CramReport::build(
-            self.cram_levels(),
-            self.arena_bytes(),
-            self.bucket_bytes(),
-            self.dict_bytes(),
-        )
-    }
-}
-
-/// Expected visits of a trie level `depth` holding `count` vertices,
-/// under uniform random destinations: a walk reaches depth `d` with
-/// probability (covered address space) `count / 2^d`.
-fn trie_level_visits(depth: usize, count: u64) -> f64 {
-    count as f64 / 2f64.powi(depth as i32)
-}
-
-impl<A: Address> CompiledBackend<A> for FrozenEngine<A> {
-    const NAME: &'static str = "frozen";
-
-    type Config = ();
-
-    fn compile(engine: &ClueEngine<A>, _config: &Self::Config) -> Result<Self, BackendError> {
-        Ok(engine.freeze()?)
-    }
-
-    fn method(&self) -> Method {
-        FrozenEngine::method(self)
-    }
-
-    fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        FrozenEngine::lookup(self, dest, clue, cost)
-    }
-
-    fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        FrozenEngine::lookup_prepare(self, dest, clue)
-    }
-
-    fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        FrozenEngine::lookup_finish_tag(self, op, dest, clue, cost)
-    }
-
-    fn tag_prefixes(&self) -> &[Prefix<A>] {
-        FrozenEngine::tag_prefixes(self)
-    }
-
-    // The frozen batch has no prefetch pass (the hash map's home slot
-    // is not address-computable), so the group size is irrelevant.
-    fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        _group: usize,
-    ) -> EngineStats {
-        FrozenEngine::lookup_batch(self, dests, clues, out)
-    }
-
-    fn replicate(&self) -> Self {
-        FrozenEngine::replicate(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        FrozenEngine::memory_bytes(self)
-    }
-
-    fn arena_bytes(&self) -> u64 {
-        (self.node_count() * core::mem::size_of::<FrozenNode>()) as u64
-    }
-
-    /// Entry payloads only; the `FxHashMap` index over them is heap
-    /// storage the byte model cannot see per-level and is excluded
-    /// here (it *is* counted in [`Self::memory_bytes`]).
-    fn bucket_bytes(&self) -> u64 {
-        core::mem::size_of_val(self.raw_entries()) as u64
-    }
-
-    fn dict_bytes(&self) -> u64 {
-        core::mem::size_of_val(self.raw_routes()) as u64
-    }
-
-    fn cram_levels(&self) -> Vec<CramLevel> {
-        self.level_node_counts()
-            .iter()
-            .enumerate()
-            .map(|(d, &count)| CramLevel {
-                bytes: count * core::mem::size_of::<FrozenNode>() as u64,
-                visits: trie_level_visits(d, count),
-            })
-            .collect()
-    }
-}
-
-impl<A: Address> CompiledBackend<A> for StrideEngine<A> {
-    const NAME: &'static str = "stride";
-
-    type Config = StrideConfig;
-
-    fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError> {
-        Ok(engine.freeze()?.compile_stride(*config)?)
-    }
-
-    fn method(&self) -> Method {
-        StrideEngine::method(self)
-    }
-
-    fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        StrideEngine::lookup(self, dest, clue, cost)
-    }
-
-    fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        StrideEngine::lookup_prepare(self, dest, clue)
-    }
-
-    fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        StrideEngine::lookup_finish_tag(self, op, dest, clue, cost)
-    }
-
-    fn tag_prefixes(&self) -> &[Prefix<A>] {
-        StrideEngine::tag_prefixes(self)
-    }
-
-    fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-    ) -> EngineStats {
-        StrideEngine::lookup_batch_interleaved(self, dests, clues, out, group)
-    }
-
-    fn replicate(&self) -> Self {
-        StrideEngine::replicate(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        StrideEngine::memory_bytes(self)
-    }
-
-    fn arena_bytes(&self) -> u64 {
-        StrideEngine::arena_bytes(self)
-    }
-
-    fn bucket_bytes(&self) -> u64 {
-        StrideEngine::bucket_bytes(self)
-    }
-
-    fn dict_bytes(&self) -> u64 {
-        StrideEngine::dict_bytes(self)
-    }
-
-    fn cram_levels(&self) -> Vec<CramLevel> {
-        self.level_profile()
-            .into_iter()
-            .map(|(bytes, visits)| CramLevel { bytes, visits })
-            .collect()
-    }
-}
-
-impl<A: Address> CompiledBackend<A> for CompressedEngine<A> {
-    const NAME: &'static str = "compressed";
-
-    type Config = CompressedConfig;
-
-    fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError> {
-        Ok(engine.freeze()?.compile_compressed(*config))
-    }
-
-    fn method(&self) -> Method {
-        CompressedEngine::method(self)
-    }
-
-    fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        CompressedEngine::lookup(self, dest, clue, cost)
-    }
-
-    fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        CompressedEngine::lookup_prepare(self, dest, clue)
-    }
-
-    fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        CompressedEngine::lookup_finish_tag(self, op, dest, clue, cost)
-    }
-
-    fn tag_prefixes(&self) -> &[Prefix<A>] {
-        CompressedEngine::tag_prefixes(self)
-    }
-
-    fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-    ) -> EngineStats {
-        CompressedEngine::lookup_batch_interleaved(self, dests, clues, out, group)
-    }
-
-    fn replicate(&self) -> Self {
-        CompressedEngine::replicate(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        CompressedEngine::memory_bytes(self)
-    }
-
-    fn arena_bytes(&self) -> u64 {
-        CompressedEngine::arena_bytes(self)
-    }
-
-    fn bucket_bytes(&self) -> u64 {
-        CompressedEngine::bucket_bytes(self)
-    }
-
-    fn dict_bytes(&self) -> u64 {
-        CompressedEngine::dict_bytes(self)
-    }
-
-    // Per-level bytes prorate the whole arena (quads + rank
-    // directories) by vertex share, so the levels partition exactly
-    // what `arena_bytes` reports.
-    fn cram_levels(&self) -> Vec<CramLevel> {
-        let arena = CompiledBackend::<A>::arena_bytes(self) as f64;
-        let total = self.node_count().max(1) as f64;
-        self.level_node_counts()
-            .iter()
-            .enumerate()
-            .map(|(d, &count)| CramLevel {
-                bytes: (arena * count as f64 / total).round() as u64,
-                visits: trie_level_visits(d, count),
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::EngineConfig;
-    use crate::stride::NO_TAG;
+    use crate::compressed::CompressedConfig;
+    use crate::engine::{ClueEngine, EngineConfig, Method};
+    use crate::flow::NO_TAG;
+    use crate::frozen::Decision;
+    use crate::stride::StrideConfig;
     use clue_lookup::Family;
-    use clue_trie::Ip4;
+    use clue_telemetry::LookupClass;
+    use clue_trie::{Address, Cost, Ip4, Ip6, Prefix};
 
-    fn p(s: &str) -> Prefix<Ip4> {
+    fn p<A: Address + FromStr<Err = clue_trie::ParseAddressError>>(s: &str) -> Prefix<A> {
         s.parse().unwrap()
     }
 
-    fn engine() -> ClueEngine<Ip4> {
-        let sender = vec![p("10.0.0.0/8"), p("10.1.0.0/16"), p("192.168.0.0/16")];
-        let receiver = vec![
+    fn engine<A: Address>(sender: &[Prefix<A>], receiver: &[Prefix<A>]) -> ClueEngine<A> {
+        ClueEngine::precomputed(
+            sender,
+            receiver,
+            EngineConfig::new(Family::Regular, Method::Advance),
+        )
+    }
+
+    fn engine4() -> ClueEngine<Ip4> {
+        let sender = [p("10.0.0.0/8"), p("10.1.0.0/16"), p("192.168.0.0/16")];
+        let receiver = [
             p("10.0.0.0/8"),
             p("10.1.0.0/16"),
             p("10.1.2.0/24"),
             p("10.2.0.0/16"),
             p("192.168.0.0/16"),
         ];
-        ClueEngine::precomputed(
-            &sender,
-            &receiver,
-            EngineConfig::new(Family::Regular, Method::Advance),
-        )
+        engine(&sender, &receiver)
     }
 
-    fn exercise<E: CompiledBackend<Ip4>>(scalar: &ClueEngine<Ip4>) -> Vec<Decision<Ip4>> {
-        let backend = E::compile(scalar, &E::Config::default()).unwrap();
-        let cases: Vec<(Ip4, Option<Prefix<Ip4>>)> = vec![
-            ("10.1.2.3".parse().unwrap(), None),
-            ("10.1.2.3".parse().unwrap(), Some(p("10.1.0.0/16"))),
-            ("192.168.3.4".parse().unwrap(), Some(p("192.168.0.0/16"))),
-            ("10.1.2.3".parse().unwrap(), Some(p("192.168.0.0/16"))),
-            ("10.1.2.3".parse().unwrap(), Some(p("10.1.2.0/24"))),
-            ("11.1.2.3".parse().unwrap(), None),
+    fn cases4() -> Vec<(Ip4, Option<Prefix<Ip4>>)> {
+        let a = |s: &str| s.parse::<Ip4>().unwrap();
+        vec![
+            (a("10.1.2.3"), None),
+            (a("10.1.2.3"), Some(p("10.1.0.0/16"))),
+            (a("192.168.3.4"), Some(p("192.168.0.0/16"))),
+            (a("10.1.2.3"), Some(p("192.168.0.0/16"))),
+            (a("10.1.2.3"), Some(p("10.1.2.0/24"))),
+            (a("11.1.2.3"), None),
+        ]
+    }
+
+    /// A hand-built IPv6 pair: a default route, /48s under a sender
+    /// /32, a /64 under one /48 and a /128 host under that.
+    fn engine6() -> ClueEngine<Ip6> {
+        let sender = [
+            p("2001:db8::/32"),
+            p("2001:db8:1::/48"),
+            p("2001:db8:2::/48"),
+            p("2001:db8:3::/48"),
         ];
+        let receiver = [
+            p("::/0"),
+            p("2001:db8:1::/48"),
+            p("2001:db8:2::/48"),
+            p("2001:db8:2:5::/64"),
+            p("2001:db8:2:5::1/128"),
+            p("2001:db8:3::/48"),
+            p("2001:db9::/48"),
+        ];
+        engine(&sender, &receiver)
+    }
+
+    fn cases6() -> Vec<(Ip6, Option<Prefix<Ip6>>)> {
+        let a = |s: &str| s.parse::<Ip6>().unwrap();
+        vec![
+            (a("2001:db8:2:5::1"), None),                             // clueless
+            (a("2001:db8:1::9"), Some(p("2001:db8:1::/48"))),         // final
+            (a("2001:db8:2:5::1"), Some(p("2001:db8:2::/48"))),       // continued to the /128
+            (a("2001:db8:2:5::2"), Some(p("2001:db8:2::/48"))),       // continued to the /64
+            (a("2001:db8:2:6::1"), Some(p("2001:db8:2::/48"))),       // continued, FD fallback
+            (a("2001:db8:2:5::1"), Some(p("2001:db8::/32"))),         // problematic /32
+            (a("2001:db8:4::1"), Some(p("2001:db8::/32"))),           // problematic, FD = ::/0
+            (a("2001:db8:2::1"), Some(p("2001:db8:1::/48"))),         // malformed
+            (a("2001:db8:2:5::1"), Some(p("2001:db8:2:5::/64"))),     // unknown clue
+            (a("2001:db9::1"), None),                                 // clueless, other /48
+        ]
+    }
+
+    /// The scalar engine's `(bmp, cost)` per case: the reference every
+    /// backend must reproduce.
+    fn scalar_reference<A: Address>(
+        mut scalar: ClueEngine<A>,
+        cases: &[(A, Option<Prefix<A>>)],
+    ) -> Vec<(Option<Prefix<A>>, Cost)> {
+        cases
+            .iter()
+            .map(|&(dest, clue)| {
+                let mut cost = Cost::new();
+                (scalar.lookup(dest, clue, None, &mut cost), cost)
+            })
+            .collect()
+    }
+
+    fn exercise<A: Address, E: CompiledBackend<A>>(
+        scalar: &ClueEngine<A>,
+        cases: &[(A, Option<Prefix<A>>)],
+    ) -> Vec<Decision<A>> {
+        let backend = E::compile(scalar, &E::Config::default()).unwrap();
         let mut decisions = Vec::new();
-        for &(dest, clue) in &cases {
+        for &(dest, clue) in cases {
             let d = backend.lookup_decision(dest, clue);
             // The tagged path agrees with the value path.
             let mut cost = Cost::new();
@@ -515,12 +211,14 @@ mod tests {
             assert_eq!(cost, d.cost, "{} tag cost for {dest} {clue:?}", E::NAME);
             decisions.push(d);
         }
-        // Batched form agrees with the scalar form.
-        let dests: Vec<Ip4> = cases.iter().map(|c| c.0).collect();
-        let clues: Vec<Option<Prefix<Ip4>>> = cases.iter().map(|c| c.1).collect();
-        let mut out = vec![Decision::default(); cases.len()];
-        backend.lookup_batch_interleaved(&dests, &clues, &mut out, 4);
-        assert_eq!(out, decisions, "{} batch parity", E::NAME);
+        // Batched form agrees with the scalar form, prefetched or not.
+        let dests: Vec<A> = cases.iter().map(|c| c.0).collect();
+        let clues: Vec<Option<Prefix<A>>> = cases.iter().map(|c| c.1).collect();
+        for group in [1, 4] {
+            let mut out = vec![Decision::default(); cases.len()];
+            backend.lookup_batch_interleaved(&dests, &clues, &mut out, group);
+            assert_eq!(out, decisions, "{} batch parity at group {group}", E::NAME);
+        }
         // Layout self-description is coherent.
         assert!(backend.arena_bytes() > 0, "{}", E::NAME);
         assert!(
@@ -548,25 +246,45 @@ mod tests {
         decisions
     }
 
-    #[test]
-    fn all_backends_agree_with_each_other() {
-        let scalar = engine();
-        let frozen = exercise::<FrozenEngine<Ip4>>(&scalar);
-        let stride = exercise::<StrideEngine<Ip4>>(&scalar);
-        let compressed = exercise::<CompressedEngine<Ip4>>(&scalar);
+    fn agree<A: Address>(scalar: ClueEngine<A>, cases: &[(A, Option<Prefix<A>>)]) -> Vec<LookupClass> {
+        let frozen = exercise::<A, FrozenEngine<A>>(&scalar, cases);
+        let stride = exercise::<A, StrideEngine<A>>(&scalar, cases);
+        let compressed = exercise::<A, CompressedEngine<A>>(&scalar, cases);
         assert_eq!(frozen, stride);
         assert_eq!(frozen, compressed);
+        let want = scalar_reference(scalar, cases);
+        for (d, &(bmp, cost)) in frozen.iter().zip(&want) {
+            assert_eq!((d.bmp, d.cost), (bmp, cost), "backends vs the scalar engine");
+        }
+        frozen.iter().map(|d| d.class).collect()
+    }
+
+    #[test]
+    fn all_backends_agree_with_each_other() {
+        agree(engine4(), &cases4());
+        // IPv6: the bucket hash folds both 64-bit halves of the clue
+        // and the compressed walk rebuilds prefixes at width 128.
+        let classes = agree(engine6(), &cases6());
+        for class in [
+            LookupClass::Clueless,
+            LookupClass::Final,
+            LookupClass::Continued,
+            LookupClass::Malformed,
+            LookupClass::Miss,
+        ] {
+            assert!(classes.contains(&class), "IPv6 cases cover {class:?}: {classes:?}");
+        }
     }
 
     #[test]
     fn compressed_arena_is_the_smallest() {
-        let scalar = engine();
+        let scalar = engine4();
         let frozen = FrozenEngine::compile(&scalar, &()).unwrap();
         let stride = StrideEngine::compile(&scalar, &StrideConfig::default()).unwrap();
         let compressed = CompressedEngine::compile(&scalar, &CompressedConfig).unwrap();
-        let fa = CompiledBackend::<Ip4>::arena_bytes(&frozen);
-        let sa = CompiledBackend::<Ip4>::arena_bytes(&stride);
-        let ca = CompiledBackend::<Ip4>::arena_bytes(&compressed);
+        let fa = frozen.arena_bytes();
+        let sa = stride.arena_bytes();
+        let ca = compressed.arena_bytes();
         assert!(ca * 3 < fa, "compressed {ca} vs frozen {fa}");
         assert!(ca < sa, "compressed {ca} vs stride {sa}");
     }

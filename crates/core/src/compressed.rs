@@ -16,39 +16,41 @@
 //!   it) is exactly vertex `j + 1`. A small rank directory (one `u32`
 //!   per 64 vertices) makes each child step O(1) with at most four
 //!   popcounts over one or two adjacent words;
-//! * route prefixes are erased from the walk too: a route-marked
-//!   vertex's prefix is always a prefix of the walked destination, so
-//!   the BMP is reconstructed as `Prefix::of_address(dest, depth)` —
-//!   the hot walk touches only the bitmap arena, never the dictionary;
-//! * route *tags* (for [`Self::lookup_finish_tag`]) come from the same
-//!   rank trick over the route-marked bits: the n-th marked vertex in
-//!   BFS order carries tag n, matching the frozen engine's route table
-//!   exactly, so the shared tag → prefix dictionary (and the runtime's
-//!   precomputed hop tables) work unchanged;
-//! * clue buckets are byte-identical to the stride engine's (built by
-//!   the shared `build_buckets`), stored against the compressed arena.
+//! * route prefixes are erased from the walk too: a walk's hit is the
+//!   deepest route-marked `(vertex, depth)` on the destination's path,
+//!   and that route's prefix is always `Prefix::of_address(dest,
+//!   depth)` — the hot walk touches only the bitmap arena, never the
+//!   dictionary;
+//! * route *tags* (for [`CompiledBackend::lookup_finish_tag`]) come
+//!   from the same rank trick over the route-marked bits: the n-th
+//!   marked vertex in BFS order carries tag n, matching the frozen
+//!   engine's route table exactly, so the shared tag → prefix
+//!   dictionary (and the runtime's precomputed hop tables) work
+//!   unchanged;
+//! * the clue buckets are the stride engine's (`buckets.rs`), stored
+//!   against the compressed arena.
 //!
 //! **The `Decision` contract is unchanged**: same BMP, same
-//! [`LookupClass`], tick-for-tick the same [`Cost`] as the scalar
-//! engine — the walk descends the identical vertices and charges one
-//! [`Cost::trie_node`] per visit, honoring the Claim-1 bit at
-//! single-bit granularity; the bucket probe charges the paper's single
-//! mandatory [`Cost::hash_probe`]. Compression changes bytes touched,
-//! never vertices charged. Equivalence is property-tested in
-//! `tests/compressed_prop.rs`.
+//! [`LookupClass`](clue_telemetry::LookupClass), tick-for-tick the same [`Cost`] as the scalar
+//! engine — the shared flow of [`CompiledBackend`] drives walks that
+//! descend the identical vertices and charge one [`Cost::trie_node`]
+//! per visit, honoring the Claim-1 bit at single-bit granularity.
+//! Compression changes bytes touched, never vertices charged.
+//! Equivalence is property-tested in `tests/compressed_prop.rs`.
 
 use std::sync::Arc;
 
-use clue_telemetry::{CompressedTelemetry, LookupClass, LookupEvent, LookupTelemetry};
+use clue_telemetry::{BatchTelemetry, CompressedTelemetry, LookupTelemetry};
 use clue_trie::{Address, Cost, Prefix};
 
-use crate::engine::{ClueEngine, EngineStats, Method};
-use crate::frozen::{bump, search_depth, Decision, FreezeError, FrozenEngine, NONE_NODE, NO_ROUTE};
+use crate::backend::BackendError;
+use crate::buckets::ClueBuckets;
+use crate::cram::{trie_level_visits, CramLevel};
+use crate::engine::{ClueEngine, Method};
+use crate::flow::{CompiledBackend, Layout, NO_TAG};
+use crate::frozen::{FreezeError, FrozenEngine, NONE_NODE, NO_ROUTE};
 use crate::prefetch::prefetch_read;
-use crate::stride::{
-    build_buckets, fold_hash, BucketDesc, BucketSlot, PacketOp, PreparedLookup, EMPTY_SLOT,
-    FINAL_SLOT, MAX_INTERLEAVE, NO_TAG,
-};
+
 
 /// Vertices per packed 64-bit word (4 bits each).
 const NODES_PER_WORD: u32 = 16;
@@ -80,8 +82,8 @@ pub struct CompressedConfig;
 /// The entropy-compressed engine; see the module docs. Compiled from a
 /// [`FrozenEngine`] via [`FrozenEngine::compile_compressed`],
 /// read-only and `Sync` like its source. All compiled arrays live
-/// behind [`Arc`]s, so [`Self::replicate`] is a refcount bump, not a
-/// deep copy.
+/// behind [`Arc`]s, so [`CompiledBackend::replicate`] is a refcount
+/// bump, not a deep copy.
 #[derive(Debug, Clone)]
 pub struct CompressedEngine<A: Address> {
     method: Method,
@@ -98,13 +100,8 @@ pub struct CompressedEngine<A: Address> {
     /// Tag → prefix dictionary (control plane: `tag_prefixes`,
     /// hop-table construction). The hot walk never reads it.
     routes: Arc<Vec<Prefix<A>>>,
-    /// Per-length probe windows into `bucket_slots` (shared layout
-    /// with the stride engine — see `build_buckets`).
-    bucket_desc: Arc<Vec<BucketDesc>>,
-    /// All length windows back to back; slot 0 is the empty sentinel.
-    bucket_slots: Arc<Vec<BucketSlot<A>>>,
-    /// Per-bucket-slot FD tag into `routes`.
-    bucket_fd_tags: Arc<Vec<u32>>,
+    /// The clue buckets (shared layout with the stride engine).
+    buckets: Arc<ClueBuckets<A>>,
     /// Vertices per BFS level (level 0 = root) — the CRAM byte map.
     level_nodes: Arc<Vec<u64>>,
     telemetry: Option<LookupTelemetry>,
@@ -162,17 +159,14 @@ impl<A: Address> FrozenEngine<A> {
             r += u64::from((word & ROUTE_MASK).count_ones());
         }
 
-        let buckets = build_buckets(self);
         let engine = CompressedEngine {
             method: self.method(),
             node_count: u32::try_from(n).expect("node count fits u32"),
             quads: Arc::new(quads),
             child_rank: Arc::new(child_rank),
             route_rank: Arc::new(route_rank),
-            routes: Arc::new(self.raw_routes().to_vec()),
-            bucket_desc: Arc::new(buckets.desc),
-            bucket_slots: Arc::new(buckets.slots),
-            bucket_fd_tags: Arc::new(buckets.fd_tags),
+            routes: Arc::new(self.tag_prefixes().to_vec()),
+            buckets: Arc::new(ClueBuckets::build(self)),
             level_nodes: Arc::new(self.level_node_counts()),
             telemetry: self.telemetry().cloned(),
             compressed_telemetry: None,
@@ -206,43 +200,9 @@ impl<A: Address> FrozenEngine<A> {
 }
 
 impl<A: Address> CompressedEngine<A> {
-    /// The compiled method flavour (inherited through the freeze).
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
     /// Vertices encoded in the arena.
     pub fn node_count(&self) -> usize {
         self.node_count as usize
-    }
-
-    /// Bytes of the walk arena: nibble quads plus both rank
-    /// directories — what the compression gate measures. ~0.63
-    /// bytes/vertex versus the frozen engine's 12.
-    pub fn arena_bytes(&self) -> u64 {
-        (self.quads.len() * core::mem::size_of::<u64>()
-            + self.child_rank.len() * core::mem::size_of::<u32>()
-            + self.route_rank.len() * core::mem::size_of::<u32>()) as u64
-    }
-
-    /// Bytes of the clue buckets (descriptors, payload slots, FD
-    /// tags). Identical layout and size to the stride engine's.
-    pub fn bucket_bytes(&self) -> u64 {
-        (self.bucket_desc.len() * core::mem::size_of::<BucketDesc>()
-            + self.bucket_slots.len() * core::mem::size_of::<BucketSlot<A>>()
-            + self.bucket_fd_tags.len() * core::mem::size_of::<u32>()) as u64
-    }
-
-    /// Bytes of the tag → prefix dictionary. Control plane only: the
-    /// hot walk reconstructs BMPs from the destination and never
-    /// touches this array.
-    pub fn dict_bytes(&self) -> u64 {
-        (self.routes.len() * core::mem::size_of::<Prefix<A>>()) as u64
-    }
-
-    /// Total resident bytes of every compiled structure.
-    pub fn memory_bytes(&self) -> usize {
-        (self.arena_bytes() + self.bucket_bytes() + self.dict_bytes()) as usize
     }
 
     /// Vertices per BFS level (level 0 is the root) — the per-level
@@ -257,42 +217,26 @@ impl<A: Address> CompressedEngine<A> {
     }
 
     /// Attaches the compressed-path bundle (batch counters + layout
-    /// gauges; the layout gauges are set immediately).
+    /// gauges; the layout gauges are set immediately). Bytes per
+    /// prefix divide the arena by the route-marked vertices — one per
+    /// receiver prefix — like the `compressed_bytes_per_prefix` bench
+    /// key.
     pub fn attach_compressed_telemetry(&mut self, telemetry: CompressedTelemetry) {
+        let prefixes: u32 = self.quads.iter().map(|w| (w & ROUTE_MASK).count_ones()).sum();
+        let arena = self.arena_bytes();
         telemetry.record_layout(
-            self.arena_bytes(),
+            arena,
             self.bucket_bytes(),
             self.dict_bytes(),
             u64::from(self.node_count),
-            0.0,
+            arena as f64 / f64::from(prefixes.max(1)),
         );
         self.compressed_telemetry = Some(telemetry);
-    }
-
-    /// The attached per-lookup telemetry, if any.
-    pub fn telemetry(&self) -> Option<&LookupTelemetry> {
-        self.telemetry.as_ref()
     }
 
     /// The attached compressed-path telemetry, if any.
     pub fn compressed_telemetry(&self) -> Option<&CompressedTelemetry> {
         self.compressed_telemetry.as_ref()
-    }
-
-    /// A per-core replica with both telemetry bundles detached. The
-    /// arenas are `Arc`-shared: constant-time, no deep copy.
-    pub fn replicate(&self) -> CompressedEngine<A> {
-        let mut replica = self.clone();
-        replica.telemetry = None;
-        replica.compressed_telemetry = None;
-        replica
-    }
-
-    /// The tag → prefix dictionary behind [`Self::lookup_finish_tag`]
-    /// — identical content to the frozen/stride tables compiled from
-    /// the same snapshot.
-    pub fn tag_prefixes(&self) -> &[Prefix<A>] {
-        &self.routes
     }
 
     /// The 4-bit nibble of vertex `node`.
@@ -344,435 +288,175 @@ impl<A: Address> CompressedEngine<A> {
         let below = self.quads[w] & ROUTE_MASK & ((1u64 << o) - 1);
         rank + below.count_ones()
     }
+}
 
-    /// The full (clueless) lookup on the compressed arena: the frozen
-    /// engine's root-down bit walk, one [`Cost::trie_node`] per vertex
-    /// visited, with the BMP reconstructed from the destination — a
-    /// route-marked vertex at depth `d` on `dest`'s path *is* the
-    /// prefix `dest/d`.
-    #[inline(never)]
-    fn common_walk(&self, dest: A, cost: &mut Cost) -> Option<Prefix<A>> {
-        cost.trie_node();
-        let mut node = 0u32;
-        let mut best =
-            if self.nibble(0) & ROUTE_NIB != 0 { Some(0u8) } else { None };
-        for depth in 0..A::BITS {
-            let c = self.child(node, dest.bit(depth) as usize);
-            if c == NONE_NODE {
-                break;
-            }
-            node = c;
-            cost.trie_node();
-            if self.nibble(node) & ROUTE_NIB != 0 {
-                best = Some(depth + 1);
-            }
-        }
-        best.map(|len| Prefix::of_address(dest, len))
+impl<A: Address> CompiledBackend<A> for CompressedEngine<A> {
+    const NAME: &'static str = "compressed";
+
+    type Config = CompressedConfig;
+
+    fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError> {
+        Ok(engine.freeze()?.compile_compressed(*config))
     }
 
-    /// The continued walk from a clue vertex at depth `depth`,
-    /// honoring the Claim-1 continue bit at single-bit granularity;
-    /// charges identically to [`FrozenEngine`]'s `walk_from`. Valid
-    /// only when the clue contains `dest` (guaranteed before any
-    /// probe), so reconstructed prefixes lie on `dest`'s path.
-    #[inline(never)]
-    fn walk_from(&self, start: u32, mut depth: u8, dest: A, cost: &mut Cost) -> Option<Prefix<A>> {
-        cost.trie_node();
-        let mut node = start;
-        let mut nib = self.nibble(node);
-        let mut best = if nib & ROUTE_NIB != 0 { Some(depth) } else { None };
-        loop {
-            if nib & CONT_NIB == 0 || depth >= A::BITS {
-                break;
-            }
-            let c = self.child(node, dest.bit(depth) as usize);
-            if c == NONE_NODE {
-                break;
-            }
-            node = c;
-            depth += 1;
-            cost.trie_node();
-            nib = self.nibble(node);
-            if nib & ROUTE_NIB != 0 {
-                best = Some(depth);
-            }
-        }
-        best.map(|len| Prefix::of_address(dest, len))
+    fn method(&self) -> Method {
+        self.method
     }
 
-    /// [`Self::common_walk`] resolving to the deepest route *tag*
-    /// ([`NO_TAG`] if none) — one rank query at the end instead of a
-    /// dictionary load per deepening step.
-    #[inline(never)]
-    fn common_walk_tag(&self, dest: A, cost: &mut Cost) -> u32 {
-        cost.trie_node();
-        let mut node = 0u32;
-        let mut best = if self.nibble(0) & ROUTE_NIB != 0 { 0u32 } else { NONE_NODE };
-        for depth in 0..A::BITS {
-            let c = self.child(node, dest.bit(depth) as usize);
-            if c == NONE_NODE {
-                break;
-            }
-            node = c;
-            cost.trie_node();
-            if self.nibble(node) & ROUTE_NIB != 0 {
-                best = node;
-            }
-        }
-        if best == NONE_NODE {
-            NO_TAG
-        } else {
-            self.route_rank_of(best)
-        }
+    /// Identical content to the frozen/stride tables compiled from the
+    /// same snapshot.
+    fn tag_prefixes(&self) -> &[Prefix<A>] {
+        &self.routes
     }
 
-    /// [`Self::walk_from`] resolving to the deepest route tag.
-    #[inline(never)]
-    fn walk_from_tag(&self, start: u32, mut depth: u8, dest: A, cost: &mut Cost) -> u32 {
-        cost.trie_node();
-        let mut node = start;
-        let mut nib = self.nibble(node);
-        let mut best = if nib & ROUTE_NIB != 0 { node } else { NONE_NODE };
-        loop {
-            if nib & CONT_NIB == 0 || depth >= A::BITS {
-                break;
-            }
-            let c = self.child(node, dest.bit(depth) as usize);
-            if c == NONE_NODE {
-                break;
-            }
-            node = c;
-            depth += 1;
-            cost.trie_node();
-            nib = self.nibble(node);
-            if nib & ROUTE_NIB != 0 {
-                best = node;
-            }
-        }
-        if best == NONE_NODE {
-            NO_TAG
-        } else {
-            self.route_rank_of(best)
-        }
+    /// A per-core replica with both telemetry bundles detached. The
+    /// arenas are `Arc`-shared: constant-time, no deep copy.
+    fn replicate(&self) -> Self {
+        let mut replica = self.clone();
+        replica.telemetry = None;
+        replica.compressed_telemetry = None;
+        replica
     }
 
-    /// Probes the flat clue window for length `len` from counter `k` —
-    /// the stride engine's probe, verbatim, over the shared layout.
-    #[inline]
-    fn bucket_get_from(&self, len: u8, bits: A, mut k: u32) -> Option<&BucketSlot<A>> {
-        let d = self.bucket_desc[len as usize];
-        loop {
-            let slot = &self.bucket_slots[(d.offset + (k & d.mask)) as usize];
-            if slot.cont == EMPTY_SLOT {
-                return None;
-            }
-            if slot.key == bits {
-                return Some(slot);
-            }
-            k = k.wrapping_add(1);
-        }
+    fn telemetry(&self) -> Option<&LookupTelemetry> {
+        self.telemetry.as_ref()
     }
 
-    /// The home probe counter for `bits` in length `len`'s window.
-    #[inline]
-    fn bucket_home(&self, len: u8, bits: A) -> u32 {
-        (fold_hash(bits) >> self.bucket_desc[len as usize].shift) as u32
+    fn memory_bytes(&self) -> usize {
+        (self.arena_bytes() + self.bucket_bytes() + self.dict_bytes()) as usize
     }
 
-    #[inline]
-    fn bucket_get(&self, len: u8, bits: A) -> Option<&BucketSlot<A>> {
-        self.bucket_get_from(len, bits, self.bucket_home(len, bits))
+    /// Nibble quads plus both rank directories — what the compression
+    /// gate measures. ~0.63 bytes/vertex versus the frozen engine's 12.
+    fn arena_bytes(&self) -> u64 {
+        (core::mem::size_of_val(self.quads.as_slice())
+            + core::mem::size_of_val(self.child_rank.as_slice())
+            + core::mem::size_of_val(self.route_rank.as_slice())) as u64
     }
 
-    /// [`Self::bucket_get_from`] returning the absolute slot index so
-    /// the caller can read the parallel FD tag.
-    #[inline]
-    fn bucket_probe_from(&self, len: u8, bits: A, mut k: u32) -> Option<usize> {
-        let d = self.bucket_desc[len as usize];
-        loop {
-            let i = (d.offset + (k & d.mask)) as usize;
-            let slot = &self.bucket_slots[i];
-            if slot.cont == EMPTY_SLOT {
-                return None;
-            }
-            if slot.key == bits {
-                return Some(i);
-            }
-            k = k.wrapping_add(1);
-        }
+    fn bucket_bytes(&self) -> u64 {
+        self.buckets.bytes()
     }
 
-    /// One compressed lookup: the same flow (and the same charges) as
-    /// [`FrozenEngine::lookup`], on the bit-packed arena.
-    #[inline]
-    pub fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        let s = match (self.method, clue) {
-            (Method::Common, _) | (_, None) => {
-                return (self.common_walk(dest, cost), LookupClass::Clueless);
-            }
-            (_, Some(s)) => s,
-        };
-        if !s.contains(dest) {
-            return (self.common_walk(dest, cost), LookupClass::Malformed);
-        }
-        cost.hash_probe();
-        match self.bucket_get(s.len(), s.bits()) {
-            Some(slot) => {
-                if slot.cont == FINAL_SLOT {
-                    (slot.fd(), LookupClass::Final)
-                } else {
-                    let found = self.walk_from(slot.cont, s.len(), dest, cost);
-                    (found.or(slot.fd()), LookupClass::Continued)
-                }
-            }
-            None => (self.common_walk(dest, cost), LookupClass::Miss),
-        }
+    /// Control plane only: the hot walk reconstructs BMPs from the
+    /// destination and never touches the dictionary.
+    fn dict_bytes(&self) -> u64 {
+        core::mem::size_of_val(self.routes.as_slice()) as u64
     }
 
-    /// As [`Self::lookup`], packaged as a [`Decision`].
-    pub fn lookup_decision(&self, dest: A, clue: Option<Prefix<A>>) -> Decision<A> {
-        let mut cost = Cost::new();
-        let (bmp, class) = self.lookup(dest, clue, &mut cost);
-        Decision { bmp, class, cost }
-    }
-
-    /// Decodes one packet, prefetching the first line its lookup will
-    /// touch (the root quad word or the clue-bucket home slot).
-    #[inline]
-    fn decode_packet(&self, dest: A, clue: Option<Prefix<A>>) -> PacketOp {
-        match (self.method, clue) {
-            (Method::Common, _) | (_, None) => {
-                prefetch_read(&self.quads[0]);
-                PacketOp::Walk(LookupClass::Clueless)
-            }
-            (_, Some(s)) => {
-                if s.contains(dest) {
-                    let len = s.len();
-                    let k = self.bucket_home(len, s.bits());
-                    let d = self.bucket_desc[len as usize];
-                    prefetch_read(&self.bucket_slots[(d.offset + (k & d.mask)) as usize]);
-                    PacketOp::Probe { k, len }
-                } else {
-                    prefetch_read(&self.quads[0]);
-                    PacketOp::Walk(LookupClass::Malformed)
-                }
-            }
-        }
-    }
-
-    /// Resolves a packet decoded by [`Self::decode_packet`]; same
-    /// results and charges as [`Self::lookup`].
-    #[inline]
-    fn finish_packet(
-        &self,
-        op: PacketOp,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        match op {
-            PacketOp::Walk(class) => (self.common_walk(dest, cost), class),
-            PacketOp::Probe { k, len } => {
-                cost.hash_probe();
-                let s = clue.expect("a probe op is only decoded from a present clue");
-                match self.bucket_get_from(len, s.bits(), k) {
-                    Some(slot) => {
-                        if slot.cont == FINAL_SLOT {
-                            (slot.fd(), LookupClass::Final)
-                        } else {
-                            let found = self.walk_from(slot.cont, len, dest, cost);
-                            (found.or(slot.fd()), LookupClass::Continued)
-                        }
-                    }
-                    None => (self.common_walk(dest, cost), LookupClass::Miss),
-                }
-            }
-        }
-    }
-
-    /// Decode-and-prefetch half of the split lookup; see
-    /// [`crate::StrideEngine::lookup_prepare`].
-    #[inline]
-    pub fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        PreparedLookup(self.decode_packet(dest, clue))
-    }
-
-    /// Resolves a prepared lookup; same results and charges as
-    /// [`Self::lookup`] on the same `(dest, clue)`.
-    #[inline]
-    pub fn lookup_finish(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        self.finish_packet(op.0, dest, clue, cost)
-    }
-
-    /// As [`Self::lookup_finish`], resolving to a dense route tag into
-    /// [`Self::tag_prefixes`] ([`NO_TAG`] for no match) — the form the
-    /// serving runtime's precomputed hop tables consume. Identical
-    /// class and [`Cost`] charges.
-    #[inline]
-    pub fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        match op.0 {
-            PacketOp::Walk(class) => (self.common_walk_tag(dest, cost), class),
-            PacketOp::Probe { k, len } => {
-                cost.hash_probe();
-                let s = clue.expect("a probe op is only decoded from a present clue");
-                match self.bucket_probe_from(len, s.bits(), k) {
-                    Some(i) => {
-                        let slot = &self.bucket_slots[i];
-                        if slot.cont == FINAL_SLOT {
-                            (self.bucket_fd_tags[i], LookupClass::Final)
-                        } else {
-                            let found = self.walk_from_tag(slot.cont, len, dest, cost);
-                            let tag = if found != NO_TAG { found } else { self.bucket_fd_tags[i] };
-                            (tag, LookupClass::Continued)
-                        }
-                    }
-                    None => (self.common_walk_tag(dest, cost), LookupClass::Miss),
-                }
-            }
-        }
-    }
-
-    /// Batched lookup at the default interleave; see
-    /// [`Self::lookup_batch_interleaved`].
-    ///
-    /// # Panics
-    /// Panics unless `dests`, `clues` and `out` have equal lengths.
-    pub fn lookup_batch(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-    ) -> EngineStats {
-        self.lookup_batch_interleaved(dests, clues, out, crate::stride::DEFAULT_INTERLEAVE)
-    }
-
-    /// Batched lookup in lockstep prefetch groups — the stride batch
-    /// loop over the compressed arena. Interleave is a latency
-    /// treatment, not a semantic one: decisions and stats are
-    /// identical at every group size.
-    ///
-    /// # Panics
-    /// Panics unless `dests`, `clues` and `out` have equal lengths.
-    pub fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-    ) -> EngineStats {
-        assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
-        assert_eq!(dests.len(), out.len(), "one decision slot per destination");
-        let group = group.max(1);
-        let (stats, groups, prefetches) = match &self.telemetry {
-            None => self.batch_core(dests, clues, out, group, |_, _, _| {}),
-            Some(t) => self.batch_core(dests, clues, out, group, |clue_len, class, cost| {
-                t.record(&LookupEvent {
-                    clue_len,
-                    class,
-                    search_depth: search_depth(class, cost),
-                    cache_hit: None,
-                    memory_references: cost.total(),
-                });
-            }),
-        };
-        if let Some(ct) = &self.compressed_telemetry {
-            ct.record_batch(dests.len() as u64, groups, prefetches);
-        }
-        stats
-    }
-
-    /// The batch loop body (two passes per group when interleaving).
-    fn batch_core(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-        mut record: impl FnMut(Option<u8>, LookupClass, Cost),
-    ) -> (EngineStats, u64, u64) {
-        let mut stats = EngineStats::default();
-        let mut groups = 0u64;
-        let mut prefetches = 0u64;
-        if group <= 1 {
-            groups = dests.len() as u64;
-            for ((&dest, &clue), slot) in dests.iter().zip(clues).zip(out.iter_mut()) {
-                let mut cost = Cost::new();
-                let (bmp, class) = self.lookup(dest, clue, &mut cost);
-                bump(&mut stats, class);
-                record(clue.map(|s| s.len()), class, cost);
-                *slot = Decision { bmp, class, cost };
-            }
-        } else {
-            let group = group.min(MAX_INTERLEAVE);
-            let mut ops = [PacketOp::Walk(LookupClass::Clueless); MAX_INTERLEAVE];
-            for ((dests, clues), out) in
-                dests.chunks(group).zip(clues.chunks(group)).zip(out.chunks_mut(group))
-            {
-                groups += 1;
-                prefetches += dests.len() as u64;
-                for ((&dest, &clue), op) in dests.iter().zip(clues).zip(ops.iter_mut()) {
-                    *op = self.decode_packet(dest, clue);
-                }
-                for (((&dest, &clue), slot), &op) in
-                    dests.iter().zip(clues).zip(out.iter_mut()).zip(&ops)
-                {
-                    let mut cost = Cost::new();
-                    let (bmp, class) = self.finish_packet(op, dest, clue, &mut cost);
-                    bump(&mut stats, class);
-                    record(clue.map(|s| s.len()), class, cost);
-                    *slot = Decision { bmp, class, cost };
-                }
-            }
-        }
-        (stats, groups, prefetches)
-    }
-
-    /// As [`Self::lookup_batch`], resizing and reusing a
-    /// caller-supplied buffer.
-    pub fn lookup_batch_into(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut Vec<Decision<A>>,
-    ) -> EngineStats {
-        out.clear();
-        out.resize(dests.len(), Decision::default());
-        self.lookup_batch(dests, clues, out)
-    }
-
-    /// Allocating convenience over [`Self::lookup_batch`].
-    pub fn lookup_batch_vec(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-    ) -> (Vec<Decision<A>>, EngineStats) {
-        let mut out = Vec::new();
-        let stats = self.lookup_batch_into(dests, clues, &mut out);
-        (out, stats)
+    // Per-level bytes prorate the whole arena (quads + rank
+    // directories) by vertex share, so the levels partition exactly
+    // what `arena_bytes` reports.
+    fn cram_levels(&self) -> Vec<CramLevel> {
+        let arena = self.arena_bytes() as f64;
+        let total = self.node_count().max(1) as f64;
+        self.level_node_counts()
+            .iter()
+            .enumerate()
+            .map(|(d, &count)| CramLevel {
+                bytes: (arena * count as f64 / total).round() as u64,
+                visits: trie_level_visits(d, count),
+            })
+            .collect()
     }
 }
+
+/// The compressed hit is the deepest route-marked `(vertex, depth)`
+/// ([`NONE_NODE`] vertex for none): the prefix is rebuilt from the
+/// destination and the depth, the tag from the vertex's route rank.
+impl<A: Address> Layout<A> for CompressedEngine<A> {
+    type Hit = (u32, u8);
+
+    const NO_HIT: (u32, u8) = (NONE_NODE, 0);
+
+    type Clues = ClueBuckets<A>;
+
+    fn clues(&self) -> &ClueBuckets<A> {
+        &self.buckets
+    }
+
+    #[inline]
+    fn prefetch_root(&self, _dest: A) {
+        prefetch_read(&self.quads[0]);
+    }
+
+    /// The frozen engine's root-down bit walk on the bitmap arena, one
+    /// [`Cost::trie_node`] per vertex visited.
+    #[inline(never)]
+    fn root_walk(&self, dest: A, cost: &mut Cost) -> (u32, u8) {
+        cost.trie_node();
+        let mut node = 0u32;
+        let mut best = if self.nibble(0) & ROUTE_NIB != 0 { (0, 0) } else { Self::NO_HIT };
+        for depth in 0..A::BITS {
+            let c = self.child(node, dest.bit(depth) as usize);
+            if c == NONE_NODE {
+                break;
+            }
+            node = c;
+            cost.trie_node();
+            if self.nibble(node) & ROUTE_NIB != 0 {
+                best = (node, depth + 1);
+            }
+        }
+        best
+    }
+
+    /// Charges identically to the frozen engine's continued walk. Valid
+    /// only when the clue contains `dest` (guaranteed before any
+    /// probe), so rebuilt prefixes lie on `dest`'s path.
+    #[inline(never)]
+    fn continued_walk(&self, start: u32, mut depth: u8, dest: A, cost: &mut Cost) -> (u32, u8) {
+        cost.trie_node();
+        let mut node = start;
+        let mut nib = self.nibble(node);
+        let mut best = if nib & ROUTE_NIB != 0 { (node, depth) } else { Self::NO_HIT };
+        loop {
+            if nib & CONT_NIB == 0 || depth >= A::BITS {
+                break;
+            }
+            let c = self.child(node, dest.bit(depth) as usize);
+            if c == NONE_NODE {
+                break;
+            }
+            node = c;
+            depth += 1;
+            cost.trie_node();
+            nib = self.nibble(node);
+            if nib & ROUTE_NIB != 0 {
+                best = (node, depth);
+            }
+        }
+        best
+    }
+
+    #[inline]
+    fn hit_prefix(&self, (node, depth): (u32, u8), dest: A) -> Option<Prefix<A>> {
+        (node != NONE_NODE).then(|| Prefix::of_address(dest, depth))
+    }
+
+    /// One rank query per resolved walk, not a dictionary load per
+    /// deepening step.
+    #[inline]
+    fn hit_tag(&self, (node, _): (u32, u8)) -> u32 {
+        if node == NONE_NODE {
+            NO_TAG
+        } else {
+            self.route_rank_of(node)
+        }
+    }
+
+    fn batch_telemetry(&self) -> Option<&BatchTelemetry> {
+        self.compressed_telemetry.as_ref().map(|t| &t.batch)
+    }
+}
+
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::frozen::Decision;
+    use clue_telemetry::LookupClass;
     use clue_lookup::Family;
     use clue_trie::Ip4;
 
@@ -936,10 +620,28 @@ mod tests {
         assert_eq!(t.lookups_total.get(), 3);
         assert_eq!(t.class_count(LookupClass::Final), stats.finals);
         let ct = compressed.compressed_telemetry().unwrap();
-        assert_eq!(ct.batches_total.get(), 1);
-        assert_eq!(ct.packets_total.get(), 3);
-        assert_eq!(ct.groups_total.get(), 2);
+        assert_eq!(ct.batch.batches_total.get(), 1);
+        assert_eq!(ct.batch.packets_total.get(), 3);
+        assert_eq!(ct.batch.groups_total.get(), 2);
         assert_eq!(ct.arena_bytes.get(), compressed.arena_bytes() as f64);
+    }
+
+    #[test]
+    fn bytes_per_prefix_gauge_divides_the_arena_by_the_receiver_prefixes() {
+        let (sender, receiver) = tables();
+        let with_default: Vec<_> = receiver.iter().copied().chain([p("0.0.0.0/0")]).collect();
+        for receiver in [receiver, with_default] {
+            let mut compressed = ClueEngine::precomputed(
+                &sender,
+                &receiver,
+                EngineConfig::new(Family::Regular, Method::Advance),
+            )
+            .freeze_compressed(CompressedConfig)
+            .unwrap();
+            compressed.attach_compressed_telemetry(CompressedTelemetry::detached());
+            let gauge = compressed.compressed_telemetry().unwrap().bytes_per_prefix.get();
+            assert_eq!(gauge, compressed.arena_bytes() as f64 / receiver.len() as f64);
+        }
     }
 
     #[test]

@@ -59,6 +59,13 @@ pub struct CramReport {
     pub expected_l3_misses: f64,
 }
 
+/// Expected visits of a trie level `depth` holding `count` vertices,
+/// under uniform random destinations: a walk reaches depth `d` with
+/// probability (covered address space) `count / 2^d`.
+pub(crate) fn trie_level_visits(depth: usize, count: u64) -> f64 {
+    count as f64 / 2f64.powi(depth as i32)
+}
+
 /// The fraction of a `[start, end)` byte span lying beyond `cap`.
 fn beyond(start: u64, end: u64, cap: u64) -> f64 {
     if end <= cap {

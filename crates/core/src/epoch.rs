@@ -414,6 +414,7 @@ impl<A: Address> std::fmt::Debug for EpochEngine<A> {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, Method};
+    use crate::flow::CompiledBackend;
     use clue_lookup::Family;
     use clue_trie::{Cost, Ip4, Prefix};
 

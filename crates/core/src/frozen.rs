@@ -16,11 +16,11 @@
 //!   to [`Cost`];
 //! * the clue table becomes a flat entry array behind one
 //!   [`FxHashMap`] probe (the paper's single mandatory access);
-//! * `lookup` takes `&self` — the frozen engine is `Sync` and can be
+//! * lookups take `&self` — the frozen engine is `Sync` and can be
 //!   shared across threads with no locking, which is what
-//!   `clue-netsim`'s sharded driver builds on;
-//! * [`FrozenEngine::lookup_batch`] processes a slice of packets with
-//!   the telemetry branch hoisted out of the loop.
+//!   `clue-netsim`'s sharded driver builds on. The clue flow itself is
+//!   the shared one of [`CompiledBackend`]; this module supplies the
+//!   walks and the map probe it runs on.
 //!
 //! **Cost parity is a hard contract**: for every (destination, clue)
 //! pair the frozen engine produces the same BMP, the same
@@ -31,13 +31,15 @@
 
 use std::collections::HashMap;
 
-use clue_telemetry::{LookupClass, LookupEvent, LookupTelemetry};
+use clue_telemetry::{BatchTelemetry, LookupClass, LookupTelemetry};
 use clue_trie::{Address, Cost, Prefix};
 
-use crate::engine::{ClueEngine, EngineStats, Method};
+use crate::backend::BackendError;
+use crate::cram::{trie_level_visits, CramLevel};
+use crate::engine::{ClueEngine, Method};
+use crate::flow::{ClueIndex, CompiledBackend, Layout};
 use crate::fxhash::FxHashMap;
 use crate::profile::{record_walk_split, Span, Stage, StageProfiler};
-use crate::stride::{PacketOp, PreparedLookup};
 use crate::table::{Continuation, TableKind};
 
 /// “No child” sentinel in a frozen node's `children` links.
@@ -66,7 +68,7 @@ impl FrozenNode {
 /// One flattened clue-table entry: the FD fallback plus the
 /// continuation vertex ([`NONE_NODE`] = the paper's “Ptr empty”) and
 /// the FD's dense tag in the extended route table
-/// ([`crate::stride::NO_TAG`] when the entry has no FD).
+/// ([`crate::NO_TAG`] when the entry has no FD).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FrozenEntry<A: Address> {
     pub(crate) fd: Option<Prefix<A>>,
@@ -285,14 +287,6 @@ impl<A: Address> FrozenEngine<A> {
         self.entries.len()
     }
 
-    /// Resident bytes of the flattened arrays (nodes + routes + entries),
-    /// excluding the hash map — the structures the hot walk touches.
-    pub fn memory_bytes(&self) -> usize {
-        self.nodes.len() * core::mem::size_of::<FrozenNode>()
-            + self.routes.len() * core::mem::size_of::<Prefix<A>>()
-            + self.entries.len() * core::mem::size_of::<FrozenEntry<A>>()
-    }
-
     /// True iff the two snapshots are the same compiled artifact,
     /// field for field: same method, same flattened nodes (children
     /// and packed route words), same route array, same entry array and
@@ -323,116 +317,10 @@ impl<A: Address> FrozenEngine<A> {
         self.telemetry = None;
     }
 
-    /// The attached telemetry, if any.
-    pub fn telemetry(&self) -> Option<&LookupTelemetry> {
-        self.telemetry.as_ref()
-    }
-
-    #[inline]
-    fn route_prefix(&self, word: u32) -> Option<Prefix<A>> {
-        let r = word & NO_ROUTE;
-        (r != NO_ROUTE).then(|| self.routes[r as usize])
-    }
-
-    /// The common lookup: root-down bit walk, one access per vertex,
-    /// mirroring `BinaryTrie::lookup_counted`.
-    #[inline]
-    fn common_walk(&self, dest: A, cost: &mut Cost) -> Option<Prefix<A>> {
-        let mut cur = &self.nodes[0];
-        cost.trie_node();
-        let mut best = self.route_prefix(cur.route_word);
-        for i in 0..A::BITS {
-            let c = cur.children[dest.bit(i) as usize];
-            if c == NONE_NODE {
-                break;
-            }
-            cur = &self.nodes[c as usize];
-            cost.trie_node();
-            if let Some(p) = self.route_prefix(cur.route_word) {
-                best = Some(p);
-            }
-        }
-        best
-    }
-
-    /// The continued walk from a clue vertex at depth `depth`,
-    /// mirroring `trie_walk_bits` / `lookup_from`: the start vertex is
-    /// charged, then one access per vertex descended into, stopping
-    /// when the continue bit clears, the address is exhausted, or the
-    /// path dead-ends.
-    #[inline]
-    fn walk_from(&self, start: u32, mut depth: u8, dest: A, cost: &mut Cost) -> Option<Prefix<A>> {
-        let mut cur = &self.nodes[start as usize];
-        cost.trie_node();
-        let mut best = self.route_prefix(cur.route_word);
-        loop {
-            if !cur.may_continue() || depth >= A::BITS {
-                break;
-            }
-            let c = cur.children[dest.bit(depth) as usize];
-            if c == NONE_NODE {
-                break;
-            }
-            cur = &self.nodes[c as usize];
-            depth += 1;
-            cost.trie_node();
-            if let Some(p) = self.route_prefix(cur.route_word) {
-                best = Some(p);
-            }
-        }
-        best
-    }
-
-    /// One frozen lookup: the scalar [`ClueEngine::lookup`] flow with
-    /// learning, caching and self-mutation compiled out. Returns the
-    /// BMP and the resolution class; charges `cost` identically to the
-    /// scalar path.
-    ///
-    /// Does **not** record telemetry or stats — the batch API owns
-    /// those so their branches amortize; wrap single lookups in a
-    /// 1-element batch if per-packet recording is needed.
-    #[inline]
-    pub fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        let s = match (self.method, clue) {
-            (Method::Common, _) | (_, None) => {
-                return (self.common_walk(dest, cost), LookupClass::Clueless);
-            }
-            (_, Some(s)) => s,
-        };
-        if !s.contains(dest) {
-            return (self.common_walk(dest, cost), LookupClass::Malformed);
-        }
-        cost.hash_probe();
-        match self.map.get(&s) {
-            Some(&i) => {
-                let entry = &self.entries[i as usize];
-                if entry.cont == NONE_NODE {
-                    (entry.fd, LookupClass::Final)
-                } else {
-                    let found = self.walk_from(entry.cont, s.len(), dest, cost);
-                    (found.or(entry.fd), LookupClass::Continued)
-                }
-            }
-            // Unknown clue: full lookup, nothing learned (frozen).
-            None => (self.common_walk(dest, cost), LookupClass::Miss),
-        }
-    }
-
-    /// As [`Self::lookup`], packaged as a [`Decision`].
-    pub fn lookup_decision(&self, dest: A, clue: Option<Prefix<A>>) -> Decision<A> {
-        let mut cost = Cost::new();
-        let (bmp, class) = self.lookup(dest, clue, &mut cost);
-        Decision { bmp, class, cost }
-    }
-
-    /// As [`Self::lookup`], additionally attributing the lookup's
-    /// predicted ticks, measured nanoseconds and touched record bytes
-    /// to pipeline stages in `prof` (see [`crate::StageProfiler`]).
+    /// As [`CompiledBackend::lookup`], additionally attributing the
+    /// lookup's predicted ticks, measured nanoseconds and touched
+    /// record bytes to pipeline stages in `prof` (see
+    /// [`crate::StageProfiler`]).
     ///
     /// **Semantically inert**: returns the same BMP and class and
     /// charges `cost` tick-for-tick like the unprofiled path — the
@@ -455,11 +343,11 @@ impl<A: Address> FrozenEngine<A> {
         let profiled_common = |cost: &mut Cost, prof: &mut StageProfiler| {
             let span = Span::start();
             let mut walk = Cost::new();
-            let bmp = self.common_walk(dest, &mut walk);
+            let hit = self.root_walk(dest, &mut walk);
             let ns = span.stop();
             record_walk_split(prof, &walk, ns, node_bytes);
             *cost += walk;
-            bmp
+            self.hit_prefix(hit, dest)
         };
 
         let (result, class) = 'resolved: {
@@ -474,26 +362,27 @@ impl<A: Address> FrozenEngine<A> {
             }
             cost.hash_probe();
             let span = Span::start();
-            let hit = self.map.get(&s).map(|&i| self.entries[i as usize]);
+            let entry = self.probe(s, 0);
             let probe_ns = span.stop();
-            match hit {
-                Some(entry) => {
+            match entry {
+                Some(e) => {
                     prof.record(Stage::ClueProbe, 1, map_bytes + entry_bytes, probe_ns);
-                    if entry.cont == NONE_NODE {
-                        (entry.fd, LookupClass::Final)
-                    } else {
-                        let span = Span::start();
-                        let mut walk = Cost::new();
-                        let found = self.walk_from(entry.cont, s.len(), dest, &mut walk);
-                        let ns = span.stop();
-                        prof.record(
-                            Stage::Continuation,
-                            walk.total(),
-                            node_bytes * walk.total(),
-                            ns,
-                        );
-                        *cost += walk;
-                        (found.or(entry.fd), LookupClass::Continued)
+                    match self.continuation(e) {
+                        None => (self.fd(e), LookupClass::Final),
+                        Some(start) => {
+                            let span = Span::start();
+                            let mut walk = Cost::new();
+                            let hit = self.continued_walk(start, s.len(), dest, &mut walk);
+                            let ns = span.stop();
+                            prof.record(
+                                Stage::Continuation,
+                                walk.total(),
+                                node_bytes * walk.total(),
+                                ns,
+                            );
+                            *cost += walk;
+                            (self.hit_prefix(hit, dest).or(self.fd(e)), LookupClass::Continued)
+                        }
                     }
                 }
                 None => {
@@ -506,90 +395,8 @@ impl<A: Address> FrozenEngine<A> {
         (result, class)
     }
 
-    /// Batched lookup: resolves `dests[i]` with `clues[i]` into
-    /// `out[i]` and returns the per-class counts for the batch.
-    ///
-    /// The telemetry branch is hoisted out of the per-packet loop; with
-    /// telemetry attached, every packet still records a full
-    /// [`LookupEvent`] (mirroring the scalar engine's event stream,
-    /// subscribers included).
-    ///
-    /// # Panics
-    /// Panics unless `dests`, `clues` and `out` have equal lengths.
-    pub fn lookup_batch(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-    ) -> EngineStats {
-        assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
-        assert_eq!(dests.len(), out.len(), "one decision slot per destination");
-        let mut stats = EngineStats::default();
-        match &self.telemetry {
-            None => {
-                for ((&dest, &clue), slot) in dests.iter().zip(clues).zip(out.iter_mut()) {
-                    let mut cost = Cost::new();
-                    let (bmp, class) = self.lookup(dest, clue, &mut cost);
-                    bump(&mut stats, class);
-                    *slot = Decision { bmp, class, cost };
-                }
-            }
-            Some(t) => {
-                for ((&dest, &clue), slot) in dests.iter().zip(clues).zip(out.iter_mut()) {
-                    let mut cost = Cost::new();
-                    let (bmp, class) = self.lookup(dest, clue, &mut cost);
-                    bump(&mut stats, class);
-                    t.record(&LookupEvent {
-                        clue_len: clue.map(|s| s.len()),
-                        class,
-                        search_depth: search_depth(class, cost),
-                        cache_hit: None,
-                        memory_references: cost.total(),
-                    });
-                    *slot = Decision { bmp, class, cost };
-                }
-            }
-        }
-        stats
-    }
-
-    /// As [`Self::lookup_batch`], but resizing and reusing a
-    /// caller-supplied buffer — the steady-state form for drivers that
-    /// loop over windows (`lookup_batch_vec` allocates a fresh `Vec`
-    /// per call, which shows up once the lookups themselves are cheap).
-    pub fn lookup_batch_into(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut Vec<Decision<A>>,
-    ) -> EngineStats {
-        out.clear();
-        out.resize(dests.len(), Decision::default());
-        self.lookup_batch(dests, clues, out)
-    }
-
-    /// Allocating convenience over [`Self::lookup_batch`].
-    pub fn lookup_batch_vec(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-    ) -> (Vec<Decision<A>>, EngineStats) {
-        let mut out = Vec::new();
-        let stats = self.lookup_batch_into(dests, clues, &mut out);
-        (out, stats)
-    }
-
-    /// The compiled method flavour (inherited from the live engine).
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
     pub(crate) fn raw_nodes(&self) -> &[FrozenNode] {
         &self.nodes
-    }
-
-    pub(crate) fn raw_routes(&self) -> &[Prefix<A>] {
-        &self.routes
     }
 
     pub(crate) fn raw_entries(&self) -> &[FrozenEntry<A>] {
@@ -598,129 +405,6 @@ impl<A: Address> FrozenEngine<A> {
 
     pub(crate) fn raw_map(&self) -> &FxHashMap<Prefix<A>, u32> {
         &self.map
-    }
-
-    /// A per-core replica for the shared-nothing runtime. The frozen
-    /// arrays are owned (this is a deep clone); telemetry is detached
-    /// so replicas never contend on shared counter cells.
-    pub fn replicate(&self) -> Self {
-        let mut replica = self.clone();
-        replica.detach_telemetry();
-        replica
-    }
-
-    /// The dense tag dictionary: every prefix a lookup can resolve to
-    /// (route vertices, then appended FD-only prefixes in canonical
-    /// order). A [`Self::lookup_finish_tag`] result indexes this slice.
-    pub fn tag_prefixes(&self) -> &[Prefix<A>] {
-        &self.routes
-    }
-
-    /// As [`Self::common_walk`], resolving to the deepest route *tag*
-    /// ([`crate::stride::NO_TAG`] when the walk finds no route) with
-    /// identical charging.
-    #[inline]
-    fn common_walk_tag(&self, dest: A, cost: &mut Cost) -> u32 {
-        let mut cur = &self.nodes[0];
-        cost.trie_node();
-        let mut best = cur.route_word & NO_ROUTE;
-        for i in 0..A::BITS {
-            let c = cur.children[dest.bit(i) as usize];
-            if c == NONE_NODE {
-                break;
-            }
-            cur = &self.nodes[c as usize];
-            cost.trie_node();
-            let r = cur.route_word & NO_ROUTE;
-            if r != NO_ROUTE {
-                best = r;
-            }
-        }
-        best
-    }
-
-    /// As [`Self::walk_from`], resolving to the deepest route *tag*
-    /// with identical charging.
-    #[inline]
-    fn walk_from_tag(&self, start: u32, mut depth: u8, dest: A, cost: &mut Cost) -> u32 {
-        let mut cur = &self.nodes[start as usize];
-        cost.trie_node();
-        let mut best = cur.route_word & NO_ROUTE;
-        loop {
-            if !cur.may_continue() || depth >= A::BITS {
-                break;
-            }
-            let c = cur.children[dest.bit(depth) as usize];
-            if c == NONE_NODE {
-                break;
-            }
-            cur = &self.nodes[c as usize];
-            depth += 1;
-            cost.trie_node();
-            let r = cur.route_word & NO_ROUTE;
-            if r != NO_ROUTE {
-                best = r;
-            }
-        }
-        best
-    }
-
-    /// Stage 1 of the split lookup: classify the packet. The frozen
-    /// engine has no useful prefetch target for a table probe (the
-    /// hash map's home slot is not address-computable from outside),
-    /// so this only pins the classification; see
-    /// [`crate::StrideEngine::lookup_prepare`] for the variant that
-    /// prefetches.
-    #[inline]
-    pub fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        let op = match (self.method, clue) {
-            (Method::Common, _) | (_, None) => PacketOp::Walk(LookupClass::Clueless),
-            (_, Some(s)) => {
-                if s.contains(dest) {
-                    PacketOp::Probe { k: 0, len: s.len() }
-                } else {
-                    PacketOp::Walk(LookupClass::Malformed)
-                }
-            }
-        };
-        PreparedLookup(op)
-    }
-
-    /// Stage 2 of the split lookup: resolve to a dense route tag (an
-    /// index into [`Self::tag_prefixes`], [`crate::stride::NO_TAG`]
-    /// for “no route”) with identical [`Cost`] charging. This is
-    /// the form the serving runtime consumes — a tag indexes a
-    /// precomputed next-hop table with no prefix-map probe.
-    #[inline]
-    pub fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        match op.0 {
-            PacketOp::Walk(class) => (self.common_walk_tag(dest, cost), class),
-            PacketOp::Probe { len, .. } => {
-                let s = Prefix::of_address(dest, len);
-                debug_assert_eq!(Some(s), clue, "prepare/finish clue mismatch");
-                let _ = clue;
-                cost.hash_probe();
-                match self.map.get(&s) {
-                    Some(&i) => {
-                        let entry = &self.entries[i as usize];
-                        if entry.cont == NONE_NODE {
-                            (entry.fd_tag, LookupClass::Final)
-                        } else {
-                            let t = self.walk_from_tag(entry.cont, len, dest, cost);
-                            let t = if t == NO_ROUTE { entry.fd_tag } else { t };
-                            (t, LookupClass::Continued)
-                        }
-                    }
-                    None => (self.common_walk_tag(dest, cost), LookupClass::Miss),
-                }
-            }
-        }
     }
 
     /// Node counts per trie depth (level 0 is the root). The BFS
@@ -746,27 +430,201 @@ impl<A: Address> FrozenEngine<A> {
     }
 }
 
-#[inline]
-pub(crate) fn bump(stats: &mut EngineStats, class: LookupClass) {
-    match class {
-        LookupClass::Clueless => stats.clueless += 1,
-        LookupClass::Final => stats.finals += 1,
-        LookupClass::Continued => stats.continued += 1,
-        LookupClass::Miss => stats.misses += 1,
-        LookupClass::Malformed => stats.malformed += 1,
+impl<A: Address> CompiledBackend<A> for FrozenEngine<A> {
+    const NAME: &'static str = "frozen";
+
+    type Config = ();
+
+    fn compile(engine: &ClueEngine<A>, _config: &Self::Config) -> Result<Self, BackendError> {
+        Ok(engine.freeze()?)
+    }
+
+    fn method(&self) -> Method {
+        self.method
+    }
+
+    fn tag_prefixes(&self) -> &[Prefix<A>] {
+        &self.routes
+    }
+
+    /// A per-core replica for the shared-nothing runtime. The frozen
+    /// arrays are owned, so this is a deep clone; telemetry is
+    /// detached so replicas never contend on shared counter cells.
+    fn replicate(&self) -> Self {
+        let mut replica = self.clone();
+        replica.detach_telemetry();
+        replica
+    }
+
+    fn telemetry(&self) -> Option<&LookupTelemetry> {
+        self.telemetry.as_ref()
+    }
+
+    /// Resident bytes of the flattened arrays (nodes + routes +
+    /// entries), excluding the hash map — the structures the hot walk
+    /// touches.
+    fn memory_bytes(&self) -> usize {
+        (self.arena_bytes() + self.bucket_bytes() + self.dict_bytes()) as usize
+    }
+
+    fn arena_bytes(&self) -> u64 {
+        core::mem::size_of_val(self.nodes.as_slice()) as u64
+    }
+
+    /// Entry payloads only. The `FxHashMap` index over them is heap
+    /// storage the byte model cannot see per level; it is left out
+    /// here and in [`Self::memory_bytes`].
+    fn bucket_bytes(&self) -> u64 {
+        core::mem::size_of_val(self.entries.as_slice()) as u64
+    }
+
+    fn dict_bytes(&self) -> u64 {
+        core::mem::size_of_val(self.routes.as_slice()) as u64
+    }
+
+    fn cram_levels(&self) -> Vec<CramLevel> {
+        self.level_node_counts()
+            .iter()
+            .enumerate()
+            .map(|(d, &count)| CramLevel {
+                bytes: count * core::mem::size_of::<FrozenNode>() as u64,
+                visits: trie_level_visits(d, count),
+            })
+            .collect()
     }
 }
 
-/// The scalar engine reports the continuation's cost as the search
-/// depth; for a Continued lookup that is everything but the mandatory
-/// table probe.
-#[inline]
-pub(crate) fn search_depth(class: LookupClass, cost: Cost) -> u64 {
-    if class == LookupClass::Continued {
-        cost.total() - cost.hash_probes
-    } else {
+/// The frozen hit is the deepest route word's index, which doubles as
+/// its tag ([`NO_ROUTE`] for none).
+impl<A: Address> Layout<A> for FrozenEngine<A> {
+    type Hit = u32;
+
+    const NO_HIT: u32 = NO_ROUTE;
+
+    type Clues = Self;
+
+    fn clues(&self) -> &Self {
+        self
+    }
+
+    // The hash map's home slot is not address-computable from outside,
+    // so there is nothing to prefetch; the batch runs one pass.
+    #[inline]
+    fn prefetch_root(&self, _dest: A) {}
+
+    /// Mirrors `BinaryTrie::lookup_counted`: one access per vertex.
+    #[inline]
+    fn root_walk(&self, dest: A, cost: &mut Cost) -> u32 {
+        let mut cur = &self.nodes[0];
+        cost.trie_node();
+        let mut best = cur.route_word & NO_ROUTE;
+        for i in 0..A::BITS {
+            let c = cur.children[dest.bit(i) as usize];
+            if c == NONE_NODE {
+                break;
+            }
+            cur = &self.nodes[c as usize];
+            cost.trie_node();
+            let r = cur.route_word & NO_ROUTE;
+            if r != NO_ROUTE {
+                best = r;
+            }
+        }
+        best
+    }
+
+    #[inline]
+    fn continued_walk(&self, start: u32, depth: u8, dest: A, cost: &mut Cost) -> u32 {
+        continued_walk(&self.nodes, start, depth, dest, cost)
+    }
+
+    #[inline]
+    fn hit_prefix(&self, hit: u32, _dest: A) -> Option<Prefix<A>> {
+        (hit != NO_ROUTE).then(|| self.routes[hit as usize])
+    }
+
+    #[inline]
+    fn hit_tag(&self, hit: u32) -> u32 {
+        hit
+    }
+
+    fn batch_telemetry(&self) -> Option<&BatchTelemetry> {
+        None
+    }
+}
+
+/// One [`FxHashMap`] probe; an entry is its index in the dense entry
+/// array.
+impl<A: Address> ClueIndex<A> for FrozenEngine<A> {
+    type Entry = u32;
+
+    const PREFETCHABLE: bool = false;
+
+    #[inline]
+    fn home(&self, _clue: Prefix<A>) -> u32 {
         0
     }
+
+    #[inline]
+    fn prefetch(&self, _len: u8, _home: u32) {}
+
+    #[inline]
+    fn probe(&self, clue: Prefix<A>, _home: u32) -> Option<u32> {
+        self.map.get(&clue).copied()
+    }
+
+    #[inline]
+    fn continuation(&self, entry: u32) -> Option<u32> {
+        let cont = self.entries[entry as usize].cont;
+        (cont != NONE_NODE).then_some(cont)
+    }
+
+    #[inline]
+    fn fd(&self, entry: u32) -> Option<Prefix<A>> {
+        self.entries[entry as usize].fd
+    }
+
+    #[inline]
+    fn fd_tag(&self, entry: u32) -> u32 {
+        self.entries[entry as usize].fd_tag
+    }
+}
+
+/// The continued walk over binary nodes from a clue vertex at depth
+/// `depth`, mirroring `trie_walk_bits` / `lookup_from`: the start
+/// vertex is charged, then one access per vertex descended into,
+/// stopping when the continue bit clears, the address is exhausted, or
+/// the path dead-ends. Resolves to the deepest route index
+/// ([`NO_ROUTE`] for none). The stride backend runs the same walk on
+/// its retained copy of the nodes.
+#[inline]
+pub(crate) fn continued_walk<A: Address>(
+    nodes: &[FrozenNode],
+    start: u32,
+    mut depth: u8,
+    dest: A,
+    cost: &mut Cost,
+) -> u32 {
+    let mut cur = &nodes[start as usize];
+    cost.trie_node();
+    let mut best = cur.route_word & NO_ROUTE;
+    loop {
+        if !cur.may_continue() || depth >= A::BITS {
+            break;
+        }
+        let c = cur.children[dest.bit(depth) as usize];
+        if c == NONE_NODE {
+            break;
+        }
+        cur = &nodes[c as usize];
+        depth += 1;
+        cost.trie_node();
+        let r = cur.route_word & NO_ROUTE;
+        if r != NO_ROUTE {
+            best = r;
+        }
+    }
+    best
 }
 
 #[cfg(test)]

@@ -65,6 +65,7 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod buckets;
 mod cache;
 mod classify;
 mod clue;
@@ -72,6 +73,7 @@ mod compressed;
 mod cram;
 mod engine;
 pub mod epoch;
+mod flow;
 mod frozen;
 pub mod fxhash;
 pub mod mpls;
@@ -84,7 +86,7 @@ mod soundness;
 mod stride;
 mod table;
 
-pub use backend::{BackendError, BackendKind, CompiledBackend};
+pub use backend::{BackendError, BackendKind};
 pub use cache::{CacheStats, ClueCache, LruCache, PresenceCache};
 pub use compressed::{CompressedConfig, CompressedEngine};
 pub use cram::{CramLevel, CramReport, L1_BYTES, L2_BYTES, L3_BYTES};
@@ -92,6 +94,7 @@ pub use classify::{classify, classify_all, problematic_fraction, Classification}
 pub use clue::{ClueHeader, EncodedClue};
 pub use engine::{ClueEngine, EngineConfig, EngineStats, Method};
 pub use epoch::{EpochCell, EpochEngine, EpochGuard, EpochReader};
+pub use flow::{CompiledBackend, PreparedLookup, DEFAULT_INTERLEAVE, NO_TAG};
 pub use frozen::{Decision, FreezeError, FrozenEngine, NONE_NODE};
 pub use profile::{Stage, StageAccum, StageProfiler};
 pub use reputation::{
@@ -101,7 +104,6 @@ pub use reputation::{
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use soundness::{check_soundness, Divergence, SoundnessReport};
 pub use stride::{
-    PreparedLookup, StrideConfig, StrideEngine, StrideError, DEFAULT_INITIAL_BITS,
-    DEFAULT_INNER_BITS, DEFAULT_INTERLEAVE, NO_TAG,
+    StrideConfig, StrideEngine, StrideError, DEFAULT_INITIAL_BITS, DEFAULT_INNER_BITS,
 };
 pub use table::{CandidateRange, ClueEntry, ClueIndexer, ClueTable, Continuation, TableKind};

@@ -1,6 +1,7 @@
 //! Software prefetch behind a safe wrapper.
 //!
-//! The stride batch loop (see [`crate::StrideEngine`]) processes
+//! The compiled backends' batch loop (see
+//! [`crate::CompiledBackend::lookup_batch_interleaved`]) processes
 //! packets in interleaved groups: pass one computes where each packet's
 //! walk will start and asks the hardware to pull that line toward L1,
 //! pass two does the walks while the fetches are in flight. The intrinsic lives

@@ -41,6 +41,7 @@
 use clue_trie::{Address, Cost, Prefix};
 
 use crate::engine::{ClueEngine, EngineStats};
+use crate::flow::{bump, CompiledBackend};
 use crate::frozen::FrozenEngine;
 
 /// One forwarding decision that differed from the clue-less baseline.
@@ -197,17 +198,6 @@ fn record<A: Address>(
     report.divergence_count += 1;
     if report.divergences.len() < SoundnessReport::<A>::RETAINED {
         report.divergences.push(Divergence { path, dest, clue, got, want });
-    }
-}
-
-fn bump(stats: &mut EngineStats, class: clue_telemetry::LookupClass) {
-    use clue_telemetry::LookupClass;
-    match class {
-        LookupClass::Clueless => stats.clueless += 1,
-        LookupClass::Final => stats.finals += 1,
-        LookupClass::Continued => stats.continued += 1,
-        LookupClass::Miss => stats.misses += 1,
-        LookupClass::Malformed => stats.malformed += 1,
     }
 }
 

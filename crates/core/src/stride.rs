@@ -17,16 +17,10 @@
 //!   [`StrideConfig::inner_bits`] address bits per step via controlled
 //!   prefix expansion, again with leaf-pushed route words and
 //!   precomputed scalar charge counts;
-//! * **length-indexed flat clue buckets**: clues have at most
-//!   `A::BITS + 1` distinct lengths (≤33 for IPv4), so the per-clue
-//!   probe becomes "pick the bucket for this length, one multiply-shift
-//!   home slot, linear scan" over a flat array — no SipHash, no
-//!   FxHash, one predictable cache line for the common case;
-//! * an interleaved, software-**prefetched**
-//!   [`StrideEngine::lookup_batch`]: packets are processed in lockstep
-//!   groups; pass one prefetches each packet's first probe target
-//!   (root slot or clue-bucket home), pass two runs the walks while
-//!   those fetches are in flight (see [`crate::prefetch`]).
+//! * the shared **length-indexed flat clue buckets** (`buckets.rs`),
+//!   whose home slot is address-computable, so the shared batch loop
+//!   prefetches each packet's first probe target (root slot or
+//!   clue-bucket home) a pass ahead (see [`crate::prefetch`]).
 //!
 //! **The `Decision` contract is unchanged.** For every (destination,
 //! clue) pair the stride engine returns the same BMP, the same
@@ -35,21 +29,24 @@
 //! every stride slot carries the exact number of binary vertices the
 //! scalar walk would have visited (`consumed`), and continued walks —
 //! which must honor the Section 4 Claim-1 bit at single-bit
-//! granularity from arbitrary clue depths — run on a retained copy of
-//! the frozen binary nodes, unchanged. Wall-clock speed comes from
-//! layout and prefetch, never from charging fewer ticks; equivalence
-//! is property-tested in `tests/stride_prop.rs`.
+//! granularity from arbitrary clue depths — run the frozen engine's
+//! walk on a retained copy of its binary nodes. Wall-clock speed comes
+//! from layout and prefetch, never from charging fewer ticks;
+//! equivalence is property-tested in `tests/stride_prop.rs`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use clue_telemetry::{LookupClass, LookupEvent, LookupTelemetry, StrideTelemetry};
+use clue_telemetry::{BatchTelemetry, LookupClass, LookupTelemetry};
 use clue_trie::{Address, Cost, Prefix};
 
-use crate::engine::{ClueEngine, EngineStats, Method};
+use crate::backend::BackendError;
+use crate::buckets::ClueBuckets;
+use crate::cram::CramLevel;
+use crate::engine::{ClueEngine, Method};
+use crate::flow::{ClueIndex, CompiledBackend, Layout};
 use crate::frozen::{
-    bump, search_depth, Decision, FreezeError, FrozenEngine, FrozenNode, CONT_BIT, NONE_NODE,
-    NO_ROUTE,
+    continued_walk, FreezeError, FrozenEngine, FrozenNode, CONT_BIT, NONE_NODE, NO_ROUTE,
 };
 use crate::prefetch::prefetch_read;
 use crate::profile::{Span, Stage, StageProfiler};
@@ -64,32 +61,11 @@ pub const DEFAULT_INITIAL_BITS: u8 = 13;
 /// Default inner stride width (bits consumed per multibit step).
 pub const DEFAULT_INNER_BITS: u8 = 8;
 
-/// Default interleave group for the prefetched batch loop: 8 packets
-/// in flight cover an L2 miss on the machines we target without
-/// spilling the per-group state out of registers. Benchmarked against
-/// 1/4/16 in `clue-bench/benches/stride.rs`.
-pub const DEFAULT_INTERLEAVE: usize = 8;
-
-/// Hard cap on the interleave group: the decoded ops live in a
-/// fixed stack buffer so the group loop never touches the allocator
-/// (larger requests are clamped, which is semantically inert — see
-/// [`StrideEngine::lookup_batch_interleaved`]).
-pub(crate) const MAX_INTERLEAVE: usize = 64;
-
 /// Largest accepted initial stride (2^20 root slots, 12 MiB).
 const MAX_INITIAL_BITS: u8 = 20;
 
 /// Largest accepted inner stride width.
 const MAX_INNER_BITS: u8 = 16;
-
-/// Empty-slot sentinel in a clue bucket (the slot's `cont` field).
-pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
-
-/// Occupied-and-final sentinel in a clue bucket's `cont` field: the
-/// inlined entry has no Claim-1 continuation. Distinct from
-/// [`EMPTY_SLOT`]; real continuation vertices are dense indices far
-/// below either sentinel.
-pub(crate) const FINAL_SLOT: u32 = u32::MAX - 1;
 
 /// Shape of the stride compilation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -200,100 +176,13 @@ struct InnerNode {
     width: u8,
 }
 
-/// Descriptor of one length's open-addressed region inside the shared
-/// flat slot array: clues of length `l` live in
-/// `slots[offset .. offset + mask + 1]`, a power-of-two window at most
-/// half full, so a multiply-shift home index plus a short linear scan
-/// always terminates on an empty slot. Lengths with no clues point at
-/// the shared always-empty sentinel slot 0 (`mask == 0`), so the probe
-/// needs no emptiness branch. One flat array (instead of a `Vec` per
-/// length) keeps the probe to two dependent loads: this 12-byte
-/// descriptor, then the slot itself.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BucketDesc {
-    pub(crate) offset: u32,
-    /// `capacity - 1` of the window (0 for the empty sentinel).
-    pub(crate) mask: u32,
-    /// `64 - log2(capacity)` — the multiply-shift downshift.
-    pub(crate) shift: u32,
-}
-
-pub(crate) const EMPTY_DESC: BucketDesc = BucketDesc { offset: 0, mask: 0, shift: 63 };
-
-/// `fd_len` value marking an absent FD field in a [`BucketSlot`].
-pub(crate) const NO_FD: u8 = u8::MAX;
-
-/// One probe slot with the clue entry's payload inlined: a Final-class
-/// lookup — the overwhelming steady-state majority — resolves with a
-/// single data-dependent load (the frozen path needs the hash slot
-/// *and* a separate entry record). The FD prefix is stored unpacked
-/// (bits + length, [`NO_FD`] for none) and the struct is 16-aligned so
-/// an IPv4 slot is 16 bytes and never straddles a cache line.
-#[derive(Debug, Clone, Copy)]
-#[repr(align(16))]
-pub(crate) struct BucketSlot<A: Address> {
-    pub(crate) key: A,
-    /// Bits of the inlined FD field ([`Address::ZERO`] when absent).
-    pub(crate) fd_bits: A,
-    /// Inlined continuation: a vertex index into the retained binary
-    /// nodes, [`FINAL_SLOT`] when the entry is final, or
-    /// [`EMPTY_SLOT`] when the slot is vacant.
-    pub(crate) cont: u32,
-    /// Length of the inlined FD prefix, [`NO_FD`] when absent.
-    pub(crate) fd_len: u8,
-}
-
-impl<A: Address> BucketSlot<A> {
-    /// Rebuilds the FD field stored in this slot.
-    #[inline]
-    pub(crate) fn fd(&self) -> Option<Prefix<A>> {
-        if self.fd_len == NO_FD {
-            None
-        } else {
-            Some(Prefix::new(self.fd_bits, self.fd_len))
-        }
-    }
-}
-
-/// A packet decoded by the interleaved batch loop's first pass: either
-/// a full walk (with its already-determined class) or a bucket probe
-/// whose home counter is precomputed — the resolve pass starts at the
-/// slot the prefetch pointed to instead of re-deriving it.
-#[derive(Clone, Copy)]
-pub(crate) enum PacketOp {
-    /// Clue not consulted: Clueless or Malformed, walk from the root.
-    Walk(LookupClass),
-    /// Clue consulted: probe length `len`'s window from counter `k`.
-    Probe { k: u32, len: u8 },
-}
-
-/// An opaque decoded lookup with its first probe line already
-/// requested from memory — the caller-driven form of the interleaved
-/// batch loop's two passes, for callers that interleave *walks* rather
-/// than flat batches (see [`StrideEngine::lookup_prepare`]). Shared by
-/// every compiled backend's `lookup_prepare`/`lookup_finish_tag` pair.
-#[derive(Clone, Copy)]
-pub struct PreparedLookup(pub(crate) PacketOp);
-
-/// “No match” sentinel returned by
-/// [`StrideEngine::lookup_finish_tag`]; every real tag is below it.
-pub const NO_TAG: u32 = NO_ROUTE;
-
-/// Fibonacci multiply-shift over the (masked) clue bits; the high bits
-/// of the product index the bucket window.
-#[inline]
-pub(crate) fn fold_hash<A: Address>(bits: A) -> u64 {
-    let x = bits.to_u128();
-    (((x >> 64) as u64) ^ (x as u64)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-}
-
 /// The stride-compiled engine; see the module docs. Compiled from a
 /// [`FrozenEngine`] via [`FrozenEngine::compile_stride`], read-only
 /// and `Sync` like its source.
 /// All compiled arrays live behind [`Arc`]s: the engine is immutable
-/// after compilation, so [`StrideEngine::replicate`] hands each worker
-/// core a reference-counted view instead of deep-copying megabytes of
-/// arena — cloning is a handful of refcount bumps.
+/// after compilation, so [`CompiledBackend::replicate`] hands each
+/// worker core a reference-counted view instead of deep-copying
+/// megabytes of arena — cloning is a handful of refcount bumps.
 #[derive(Debug, Clone)]
 pub struct StrideEngine<A: Address> {
     method: Method,
@@ -311,22 +200,14 @@ pub struct StrideEngine<A: Address> {
     /// Tag → prefix table: the route prefixes referenced by every
     /// route word first (a route word's index *is* its tag), then any
     /// FD prefixes that are not themselves routes, so every payload
-    /// the engine can resolve to has exactly one tag. See
-    /// [`Self::tag_prefixes`].
+    /// the engine can resolve to has exactly one tag.
     routes: Arc<Vec<Prefix<A>>>,
-    /// Per-length probe windows into `bucket_slots`, indexed by clue
-    /// length (`A::BITS + 1` descriptors — ≤33 for IPv4).
-    bucket_desc: Arc<Vec<BucketDesc>>,
-    /// All length windows back to back; slot 0 is the shared empty
-    /// sentinel that zero-clue lengths point at.
-    bucket_slots: Arc<Vec<BucketSlot<A>>>,
-    /// Per-bucket-slot FD tag into `routes` ([`NO_TAG`] when the slot
-    /// has none) — the tagged twin of the inlined `fd_bits`/`fd_len`
-    /// payload, kept parallel rather than widening the probed slot.
-    bucket_fd_tags: Arc<Vec<u32>>,
+    /// The clue buckets, payload inlined.
+    buckets: Arc<ClueBuckets<A>>,
     telemetry: Option<LookupTelemetry>,
-    stride_telemetry: Option<StrideTelemetry>,
+    stride_telemetry: Option<BatchTelemetry>,
 }
+
 
 /// Walks `width` bits of `value` (MSB first) down the binary trie from
 /// `start`, returning the edges descended, the deepest route word seen
@@ -366,71 +247,6 @@ fn has_children(node: &FrozenNode) -> bool {
     node.children[0] != NONE_NODE || node.children[1] != NONE_NODE
 }
 
-/// The flat length-indexed clue buckets compiled from a frozen
-/// snapshot: per-length power-of-two probe windows over one shared
-/// slot array (slot 0 the always-empty sentinel), with a parallel FD
-/// tag array resolving into the snapshot's extended route table. Both
-/// the stride and compressed backends probe this identical structure,
-/// so bucket behaviour (and the single mandatory
-/// [`Cost::hash_probe`] charge) cannot drift between them.
-pub(crate) struct ClueBuckets<A: Address> {
-    pub(crate) desc: Vec<BucketDesc>,
-    pub(crate) slots: Vec<BucketSlot<A>>,
-    pub(crate) fd_tags: Vec<u32>,
-}
-
-/// Builds the clue buckets in canonical (sorted-clue) order so
-/// compilation stays a pure function of the snapshot. FD tags are read
-/// off the frozen entries — the tag dictionary itself is assigned at
-/// freeze time, shared by every backend compiled from the snapshot.
-pub(crate) fn build_buckets<A: Address>(frozen: &FrozenEngine<A>) -> ClueBuckets<A> {
-    let mut by_len: Vec<Vec<(A, u32)>> = vec![Vec::new(); A::BITS as usize + 1];
-    let mut sorted: Vec<_> = frozen.raw_map().iter().map(|(clue, &i)| (*clue, i)).collect();
-    sorted.sort_by_key(|(clue, _)| *clue);
-    for (clue, i) in sorted {
-        by_len[clue.len() as usize].push((clue.bits(), i));
-    }
-    let vacant = BucketSlot { key: A::ZERO, fd_bits: A::ZERO, cont: EMPTY_SLOT, fd_len: NO_FD };
-    let entries = frozen.raw_entries();
-    let mut desc_v = Vec::with_capacity(by_len.len());
-    let mut slots = vec![vacant];
-    let mut fd_tags = vec![NO_TAG];
-    for keys in by_len {
-        if keys.is_empty() {
-            desc_v.push(EMPTY_DESC);
-            continue;
-        }
-        let cap = (keys.len() * 2).next_power_of_two().max(2);
-        let desc = BucketDesc {
-            offset: slots.len() as u32,
-            mask: (cap - 1) as u32,
-            shift: 64 - cap.trailing_zeros(),
-        };
-        slots.resize(slots.len() + cap, vacant);
-        fd_tags.resize(slots.len(), NO_TAG);
-        for (bits, entry) in keys {
-            let e = &entries[entry as usize];
-            let cont = if e.cont == NONE_NODE { FINAL_SLOT } else { e.cont };
-            let (fd_bits, fd_len) = match e.fd {
-                Some(p) => (p.bits(), p.len()),
-                None => (A::ZERO, NO_FD),
-            };
-            let mut k = (fold_hash(bits) >> desc.shift) as u32;
-            loop {
-                let i = (desc.offset + (k & desc.mask)) as usize;
-                if slots[i].cont == EMPTY_SLOT {
-                    slots[i] = BucketSlot { key: bits, fd_bits, cont, fd_len };
-                    fd_tags[i] = e.fd_tag;
-                    break;
-                }
-                debug_assert!(slots[i].key != bits, "duplicate clue in bucket");
-                k = k.wrapping_add(1);
-            }
-        }
-        desc_v.push(desc);
-    }
-    ClueBuckets { desc: desc_v, slots, fd_tags }
-}
 
 impl<A: Address> ClueEngine<A> {
     /// [`ClueEngine::freeze`] followed by
@@ -507,10 +323,6 @@ impl<A: Address> FrozenEngine<A> {
             }
         }
 
-        // Clue buckets and the tag dictionary are shared, canonical
-        // structures of the snapshot — see `build_buckets`.
-        let buckets = build_buckets(self);
-
         Ok(StrideEngine {
             method: self.method(),
             config,
@@ -518,10 +330,8 @@ impl<A: Address> FrozenEngine<A> {
             inner: Arc::new(inner),
             slots: Arc::new(slots),
             bin_nodes: Arc::new(nodes.to_vec()),
-            routes: Arc::new(self.raw_routes().to_vec()),
-            bucket_desc: Arc::new(buckets.desc),
-            bucket_slots: Arc::new(buckets.slots),
-            bucket_fd_tags: Arc::new(buckets.fd_tags),
+            routes: Arc::new(self.tag_prefixes().to_vec()),
+            buckets: Arc::new(ClueBuckets::build(self)),
             telemetry: self.telemetry().cloned(),
             stride_telemetry: None,
         })
@@ -529,11 +339,6 @@ impl<A: Address> FrozenEngine<A> {
 }
 
 impl<A: Address> StrideEngine<A> {
-    /// The compiled method flavour (inherited through the freeze).
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
     /// The stride shape this engine was compiled with.
     pub fn config(&self) -> StrideConfig {
         self.config
@@ -549,50 +354,188 @@ impl<A: Address> StrideEngine<A> {
         self.slots.len()
     }
 
-    /// Resident bytes of every structure the hot paths touch: root
-    /// array, inner nodes and slots, retained binary nodes, routes and
-    /// the payload-inlined clue buckets.
-    pub fn memory_bytes(&self) -> usize {
-        self.root.len() * core::mem::size_of::<RootSlot>()
-            + self.inner.len() * core::mem::size_of::<InnerNode>()
-            + self.slots.len() * core::mem::size_of::<InnerSlot>()
-            + self.bin_nodes.len() * core::mem::size_of::<FrozenNode>()
-            + self.routes.len() * core::mem::size_of::<Prefix<A>>()
-            + self.bucket_desc.len() * core::mem::size_of::<BucketDesc>()
-            + self.bucket_slots.len() * core::mem::size_of::<BucketSlot<A>>()
-            + self.bucket_fd_tags.len() * core::mem::size_of::<u32>()
+    /// Replaces the inherited per-lookup telemetry bundle.
+    pub fn attach_telemetry(&mut self, telemetry: LookupTelemetry) {
+        self.telemetry = Some(telemetry);
     }
 
-    /// Bytes of the walk structures alone: root array, inner
-    /// nodes/slots and the retained binary tail.
-    pub(crate) fn arena_bytes(&self) -> u64 {
-        (self.root.len() * core::mem::size_of::<RootSlot>()
-            + self.inner.len() * core::mem::size_of::<InnerNode>()
-            + self.slots.len() * core::mem::size_of::<InnerSlot>()
-            + self.bin_nodes.len() * core::mem::size_of::<FrozenNode>()) as u64
+    /// Attaches the batch-loop bundle (batch/group/prefetch counters).
+    pub fn attach_stride_telemetry(&mut self, telemetry: BatchTelemetry) {
+        self.stride_telemetry = Some(telemetry);
     }
 
-    /// Bytes of the clue buckets (descriptors, slots, FD tags).
-    pub(crate) fn bucket_bytes(&self) -> u64 {
-        (self.bucket_desc.len() * core::mem::size_of::<BucketDesc>()
-            + self.bucket_slots.len() * core::mem::size_of::<BucketSlot<A>>()
-            + self.bucket_fd_tags.len() * core::mem::size_of::<u32>()) as u64
+    /// The attached batch-loop telemetry, if any.
+    pub fn stride_telemetry(&self) -> Option<&BatchTelemetry> {
+        self.stride_telemetry.as_ref()
     }
 
-    /// Bytes of the tag → prefix dictionary.
-    pub(crate) fn dict_bytes(&self) -> u64 {
-        (self.routes.len() * core::mem::size_of::<Prefix<A>>()) as u64
+    #[inline]
+    fn root_slot(&self, dest: A) -> &RootSlot {
+        &self.root[(dest.to_u128() >> (A::BITS - self.config.initial_bits)) as usize]
     }
 
-    /// Per-level `(resident bytes, expected visits per uniform-random
-    /// clueless lookup)` of the stride walk, hottest level first:
-    /// level 0 is the direct-indexed root array (always visited once),
+    /// The multibit descent below a root slot, from inner node `node`
+    /// with `best` the deepest route word so far: one expanded-slot
+    /// read per step, each charging the binary vertices it stands for.
+    /// Returns the deepest route word and the steps taken.
+    #[inline]
+    fn inner_walk(&self, mut node: u32, mut best: u32, dest: A, cost: &mut Cost) -> (u32, u64) {
+        let mut steps = 0u64;
+        while node != NONE_NODE {
+            let n = &self.inner[node as usize];
+            let chunk = (dest.to_u128() >> (A::BITS - n.base - n.width)) & ((1u128 << n.width) - 1);
+            let slot = &self.slots[n.first_slot as usize + chunk as usize];
+            cost.trie_nodes += u64::from(slot.consumed);
+            steps += 1;
+            if slot.route_word != NO_ROUTE {
+                best = slot.route_word;
+            }
+            node = slot.child;
+        }
+        (best, steps)
+    }
+
+    /// As [`CompiledBackend::lookup`], additionally attributing
+    /// predicted ticks, measured nanoseconds and touched record bytes
+    /// to pipeline stages in `prof`. The stride layout gives Root and
+    /// Inner a *real* boundary (the direct-indexed slot read vs the
+    /// multibit descent), so unlike the scalar and frozen walks no
+    /// proportional split is needed. Semantically inert: same BMP,
+    /// same class, tick-for-tick the same `cost` as the unprofiled
+    /// path — and a separate function, so the unprofiled path carries
+    /// zero profiling overhead.
+    pub fn lookup_profiled(
+        &self,
+        dest: A,
+        clue: Option<Prefix<A>>,
+        cost: &mut Cost,
+        prof: &mut StageProfiler,
+    ) -> (Option<Prefix<A>>, LookupClass) {
+        let node_bytes = core::mem::size_of::<FrozenNode>() as u64;
+        let whole = Span::start();
+        let before = cost.total();
+        let profiled_root = |cost: &mut Cost, prof: &mut StageProfiler| {
+            let span = Span::start();
+            let slot = self.root_slot(dest);
+            let consumed = u64::from(slot.consumed);
+            cost.trie_nodes += consumed;
+            let root_ns = span.stop();
+            prof.record(Stage::Root, consumed, core::mem::size_of::<RootSlot>() as u64, root_ns);
+            let mut best = slot.route_word;
+            if slot.next != NONE_NODE {
+                let span = Span::start();
+                let mut walk = Cost::new();
+                let (deepest, steps) = self.inner_walk(slot.next, best, dest, &mut walk);
+                let ns = span.stop();
+                let step_bytes =
+                    (core::mem::size_of::<InnerNode>() + core::mem::size_of::<InnerSlot>()) as u64;
+                prof.record(Stage::Inner, walk.trie_nodes, steps * step_bytes, ns);
+                *cost += walk;
+                best = deepest;
+            }
+            self.hit_prefix(best, dest)
+        };
+        let (result, class) = 'resolved: {
+            let s = match (self.method, clue) {
+                (Method::Common, _) | (_, None) => {
+                    break 'resolved (profiled_root(cost, prof), LookupClass::Clueless);
+                }
+                (_, Some(s)) => s,
+            };
+            if !s.contains(dest) {
+                break 'resolved (profiled_root(cost, prof), LookupClass::Malformed);
+            }
+            cost.hash_probe();
+            let span = Span::start();
+            let (entry, probe_bytes) =
+                self.buckets.probe_scan(s.len(), s.bits(), self.buckets.home(s));
+            let probe_ns = span.stop();
+            prof.record(Stage::ClueProbe, 1, probe_bytes, probe_ns);
+            match entry {
+                Some(e) => match self.buckets.continuation(e) {
+                    None => (self.buckets.fd(e), LookupClass::Final),
+                    Some(start) => {
+                        let span = Span::start();
+                        let mut walk = Cost::new();
+                        let hit = self.continued_walk(start, s.len(), dest, &mut walk);
+                        let ns = span.stop();
+                        prof.record(
+                            Stage::Continuation,
+                            walk.total(),
+                            node_bytes * walk.total(),
+                            ns,
+                        );
+                        *cost += walk;
+                        (self.hit_prefix(hit, dest).or(self.buckets.fd(e)), LookupClass::Continued)
+                    }
+                },
+                None => (profiled_root(cost, prof), LookupClass::Miss),
+            }
+        };
+        prof.record_lookup(cost.total() - before, whole.stop());
+        (result, class)
+    }
+}
+
+impl<A: Address> CompiledBackend<A> for StrideEngine<A> {
+    const NAME: &'static str = "stride";
+
+    type Config = StrideConfig;
+
+    fn compile(engine: &ClueEngine<A>, config: &Self::Config) -> Result<Self, BackendError> {
+        Ok(engine.freeze()?.compile_stride(*config)?)
+    }
+
+    fn method(&self) -> Method {
+        self.method
+    }
+
+    fn tag_prefixes(&self) -> &[Prefix<A>] {
+        &self.routes
+    }
+
+    /// A per-core replica with both telemetry bundles detached, so a
+    /// worker owns no handle into shared registries — the serving
+    /// runtime attributes its own counts through sharded cells
+    /// instead. The compiled arrays are `Arc`-shared, so this is a
+    /// constant-time refcount bump per array, not a deep copy.
+    fn replicate(&self) -> Self {
+        let mut replica = self.clone();
+        replica.telemetry = None;
+        replica.stride_telemetry = None;
+        replica
+    }
+
+    fn telemetry(&self) -> Option<&LookupTelemetry> {
+        self.telemetry.as_ref()
+    }
+
+    fn memory_bytes(&self) -> usize {
+        (self.arena_bytes() + self.bucket_bytes() + self.dict_bytes()) as usize
+    }
+
+    /// Root array, inner nodes/slots and the retained binary tail.
+    fn arena_bytes(&self) -> u64 {
+        (core::mem::size_of_val(self.root.as_slice())
+            + core::mem::size_of_val(self.inner.as_slice())
+            + core::mem::size_of_val(self.slots.as_slice())
+            + core::mem::size_of_val(self.bin_nodes.as_slice())) as u64
+    }
+
+    fn bucket_bytes(&self) -> u64 {
+        self.buckets.bytes()
+    }
+
+    fn dict_bytes(&self) -> u64 {
+        core::mem::size_of_val(self.routes.as_slice()) as u64
+    }
+
+    /// Level 0 is the direct-indexed root array (always visited once),
     /// level `k > 0` groups the multibit inner nodes whose `base` is
     /// `initial + k·inner` bits. Visit probabilities propagate down
     /// the compiled graph (`P(child) = P(parent) / 2^width` per slot),
-    /// which is exact for uniform destinations and fully deterministic
-    /// — the input the CRAM cache-residency model consumes.
-    pub(crate) fn level_profile(&self) -> Vec<(u64, f64)> {
+    /// which is exact for uniform destinations and fully deterministic.
+    fn cram_levels(&self) -> Vec<CramLevel> {
         let mut p = vec![0.0f64; self.inner.len()];
         let root_share = 1.0 / self.root.len() as f64;
         for slot in self.root.iter() {
@@ -612,649 +555,76 @@ impl<A: Address> StrideEngine<A> {
                 }
             }
         }
-        let mut levels =
-            vec![(self.root.len() as u64 * core::mem::size_of::<RootSlot>() as u64, 1.0f64)];
-        let mut by_base: Vec<(u8, u64, f64)> = Vec::new();
+        let mut levels = vec![CramLevel {
+            bytes: core::mem::size_of_val(self.root.as_slice()) as u64,
+            visits: 1.0,
+        }];
+        let mut by_base: Vec<(u8, CramLevel)> = Vec::new();
         for (id, n) in self.inner.iter().enumerate() {
             let bytes = core::mem::size_of::<InnerNode>() as u64
                 + (1u64 << n.width) * core::mem::size_of::<InnerSlot>() as u64;
-            match by_base.iter_mut().find(|(b, _, _)| *b == n.base) {
-                Some((_, lb, lv)) => {
-                    *lb += bytes;
-                    *lv += p[id];
+            match by_base.iter_mut().find(|(b, _)| *b == n.base) {
+                Some((_, level)) => {
+                    level.bytes += bytes;
+                    level.visits += p[id];
                 }
-                None => by_base.push((n.base, bytes, p[id])),
+                None => by_base.push((n.base, CramLevel { bytes, visits: p[id] })),
             }
         }
-        by_base.sort_by_key(|(b, _, _)| *b);
-        levels.extend(by_base.into_iter().map(|(_, b, v)| (b, v)));
+        by_base.sort_by_key(|(b, _)| *b);
+        levels.extend(by_base.into_iter().map(|(_, level)| level));
         levels
     }
+}
 
-    /// Replaces the inherited per-lookup telemetry bundle.
-    pub fn attach_telemetry(&mut self, telemetry: LookupTelemetry) {
-        self.telemetry = Some(telemetry);
+/// The stride hit is the deepest route word, which doubles as its tag
+/// ([`NO_ROUTE`] for none).
+impl<A: Address> Layout<A> for StrideEngine<A> {
+    type Hit = u32;
+
+    const NO_HIT: u32 = NO_ROUTE;
+
+    type Clues = ClueBuckets<A>;
+
+    fn clues(&self) -> &ClueBuckets<A> {
+        &self.buckets
     }
 
-    /// Attaches the stride-path bundle (batch/group/prefetch counters).
-    pub fn attach_stride_telemetry(&mut self, telemetry: StrideTelemetry) {
-        self.stride_telemetry = Some(telemetry);
+    #[inline]
+    fn prefetch_root(&self, dest: A) {
+        prefetch_read(self.root_slot(dest));
     }
 
-    /// A per-core replica of this engine with both telemetry bundles
-    /// detached, so a worker owns no handle into shared registries —
-    /// the serving runtime attributes its own counts through sharded
-    /// cells instead. The compiled arrays are immutable and
-    /// `Arc`-shared, so this is a constant-time refcount bump per
-    /// array, not a deep copy — replicating a million-prefix engine
-    /// for N workers costs microseconds, not seconds.
-    pub fn replicate(&self) -> StrideEngine<A> {
-        let mut replica = self.clone();
-        replica.telemetry = None;
-        replica.stride_telemetry = None;
-        replica
+    /// One indexed root read, then at most `⌈(A::BITS − initial) /
+    /// inner⌉` multibit steps — charging `cost` exactly what the
+    /// scalar bit walk would have (each slot carries its precomputed
+    /// vertex count).
+    #[inline(never)]
+    fn root_walk(&self, dest: A, cost: &mut Cost) -> u32 {
+        let slot = self.root_slot(dest);
+        cost.trie_nodes += u64::from(slot.consumed);
+        self.inner_walk(slot.next, slot.route_word, dest, cost).0
     }
 
-    /// The attached per-lookup telemetry, if any.
-    pub fn telemetry(&self) -> Option<&LookupTelemetry> {
-        self.telemetry.as_ref()
+    /// Bit-for-bit the frozen engine's walk, on the retained binary
+    /// nodes.
+    #[inline(never)]
+    fn continued_walk(&self, start: u32, depth: u8, dest: A, cost: &mut Cost) -> u32 {
+        continued_walk(&self.bin_nodes, start, depth, dest, cost)
     }
 
-    /// The attached stride-path telemetry, if any.
-    pub fn stride_telemetry(&self) -> Option<&StrideTelemetry> {
+    #[inline]
+    fn hit_prefix(&self, hit: u32, _dest: A) -> Option<Prefix<A>> {
+        (hit != NO_ROUTE).then(|| self.routes[hit as usize])
+    }
+
+    #[inline]
+    fn hit_tag(&self, hit: u32) -> u32 {
+        hit
+    }
+
+    fn batch_telemetry(&self) -> Option<&BatchTelemetry> {
         self.stride_telemetry.as_ref()
-    }
-
-    #[inline]
-    fn root_index(&self, dest: A) -> usize {
-        (dest.to_u128() >> (A::BITS - self.config.initial_bits)) as usize
-    }
-
-    #[inline]
-    fn chunk(dest: A, base: u8, width: u8) -> usize {
-        ((dest.to_u128() >> (A::BITS - base - width)) & ((1u128 << width) - 1)) as usize
-    }
-
-    #[inline]
-    fn route_prefix(&self, word: u32) -> Option<Prefix<A>> {
-        let r = word & NO_ROUTE;
-        (r != NO_ROUTE).then(|| self.routes[r as usize])
-    }
-
-    /// Probes the flat clue window for length `len` starting at probe
-    /// counter `k` (the multiply-shift home): one descriptor read,
-    /// then a linear scan that in the half-full steady state touches a
-    /// single slot — and that slot already carries the entry payload.
-    #[inline]
-    fn bucket_get_from(&self, len: u8, bits: A, mut k: u32) -> Option<&BucketSlot<A>> {
-        let d = self.bucket_desc[len as usize];
-        loop {
-            let slot = &self.bucket_slots[(d.offset + (k & d.mask)) as usize];
-            if slot.cont == EMPTY_SLOT {
-                return None;
-            }
-            if slot.key == bits {
-                return Some(slot);
-            }
-            k = k.wrapping_add(1);
-        }
-    }
-
-    /// The home probe counter for `bits` in length `len`'s window.
-    #[inline]
-    fn bucket_home(&self, len: u8, bits: A) -> u32 {
-        (fold_hash(bits) >> self.bucket_desc[len as usize].shift) as u32
-    }
-
-    #[inline]
-    fn bucket_get(&self, len: u8, bits: A) -> Option<&BucketSlot<A>> {
-        self.bucket_get_from(len, bits, self.bucket_home(len, bits))
-    }
-
-    /// The full (clueless) lookup on the stride layout: one indexed
-    /// root read, then at most `⌈(A::BITS − initial) / inner⌉` multibit
-    /// steps — while charging `cost` exactly what the scalar bit walk
-    /// would have (each slot carries its precomputed vertex count).
-    #[inline(never)]
-    fn common_walk(&self, dest: A, cost: &mut Cost) -> Option<Prefix<A>> {
-        let slot = &self.root[self.root_index(dest)];
-        cost.trie_nodes += u64::from(slot.consumed);
-        let mut best = self.route_prefix(slot.route_word);
-        let mut node = slot.next;
-        while node != NONE_NODE {
-            let n = &self.inner[node as usize];
-            let i = n.first_slot as usize + Self::chunk(dest, n.base, n.width);
-            let slot = &self.slots[i];
-            cost.trie_nodes += u64::from(slot.consumed);
-            if let Some(p) = self.route_prefix(slot.route_word) {
-                best = Some(p);
-            }
-            node = slot.child;
-        }
-        best
-    }
-
-    /// The continued walk, bit-for-bit the frozen engine's: start at
-    /// the clue's continuation vertex, honor the Claim-1 bit, charge
-    /// one vertex per visit. Runs on the retained binary nodes.
-    #[inline(never)]
-    fn walk_from(&self, start: u32, mut depth: u8, dest: A, cost: &mut Cost) -> Option<Prefix<A>> {
-        let mut cur = &self.bin_nodes[start as usize];
-        cost.trie_node();
-        let mut best = self.route_prefix(cur.route_word);
-        loop {
-            if !cur.may_continue() || depth >= A::BITS {
-                break;
-            }
-            let c = cur.children[dest.bit(depth) as usize];
-            if c == NONE_NODE {
-                break;
-            }
-            cur = &self.bin_nodes[c as usize];
-            depth += 1;
-            cost.trie_node();
-            if let Some(p) = self.route_prefix(cur.route_word) {
-                best = Some(p);
-            }
-        }
-        best
-    }
-
-    /// One stride lookup: the same flow (and the same charges) as
-    /// [`FrozenEngine::lookup`], with the stride structures underneath.
-    /// The bucket probe still charges exactly one
-    /// [`Cost::hash_probe`] — the paper's single mandatory table
-    /// access; the accounting model does not change with the layout.
-    #[inline]
-    pub fn lookup(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        let s = match (self.method, clue) {
-            (Method::Common, _) | (_, None) => {
-                return (self.common_walk(dest, cost), LookupClass::Clueless);
-            }
-            (_, Some(s)) => s,
-        };
-        if !s.contains(dest) {
-            return (self.common_walk(dest, cost), LookupClass::Malformed);
-        }
-        cost.hash_probe();
-        match self.bucket_get(s.len(), s.bits()) {
-            Some(slot) => {
-                if slot.cont == FINAL_SLOT {
-                    (slot.fd(), LookupClass::Final)
-                } else {
-                    let found = self.walk_from(slot.cont, s.len(), dest, cost);
-                    (found.or(slot.fd()), LookupClass::Continued)
-                }
-            }
-            None => (self.common_walk(dest, cost), LookupClass::Miss),
-        }
-    }
-
-    /// As [`Self::lookup`], packaged as a [`Decision`].
-    pub fn lookup_decision(&self, dest: A, clue: Option<Prefix<A>>) -> Decision<A> {
-        let mut cost = Cost::new();
-        let (bmp, class) = self.lookup(dest, clue, &mut cost);
-        Decision { bmp, class, cost }
-    }
-
-    /// [`Self::common_walk`] with per-stage attribution: the stride
-    /// layout gives Root/Inner a *real* boundary (the direct-indexed
-    /// slot read vs the multibit descent), so unlike the scalar and
-    /// frozen walks no proportional split is needed.
-    fn common_walk_profiled(
-        &self,
-        dest: A,
-        cost: &mut Cost,
-        prof: &mut StageProfiler,
-    ) -> Option<Prefix<A>> {
-        let span = Span::start();
-        let slot = &self.root[self.root_index(dest)];
-        let consumed = u64::from(slot.consumed);
-        cost.trie_nodes += consumed;
-        let mut best = self.route_prefix(slot.route_word);
-        let mut node = slot.next;
-        let root_ns = span.stop();
-        prof.record(Stage::Root, consumed, core::mem::size_of::<RootSlot>() as u64, root_ns);
-        if node != NONE_NODE {
-            let span = Span::start();
-            let mut ticks = 0u64;
-            let mut steps = 0u64;
-            while node != NONE_NODE {
-                let n = &self.inner[node as usize];
-                let i = n.first_slot as usize + Self::chunk(dest, n.base, n.width);
-                let slot = &self.slots[i];
-                ticks += u64::from(slot.consumed);
-                steps += 1;
-                if let Some(p) = self.route_prefix(slot.route_word) {
-                    best = Some(p);
-                }
-                node = slot.child;
-            }
-            let ns = span.stop();
-            cost.trie_nodes += ticks;
-            let step_bytes =
-                (core::mem::size_of::<InnerNode>() + core::mem::size_of::<InnerSlot>()) as u64;
-            prof.record(Stage::Inner, ticks, steps * step_bytes, ns);
-        }
-        best
-    }
-
-    /// As [`Self::lookup`], additionally attributing predicted ticks,
-    /// measured nanoseconds and touched record bytes to pipeline
-    /// stages in `prof`. Semantically inert: same BMP, same class,
-    /// tick-for-tick the same `cost` as the unprofiled path — and a
-    /// separate function, so the unprofiled path carries zero
-    /// profiling overhead.
-    pub fn lookup_profiled(
-        &self,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-        prof: &mut StageProfiler,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        let node_bytes = core::mem::size_of::<FrozenNode>() as u64;
-        let whole = Span::start();
-        let before = cost.total();
-        let (result, class) = 'resolved: {
-            let s = match (self.method, clue) {
-                (Method::Common, _) | (_, None) => {
-                    break 'resolved (
-                        self.common_walk_profiled(dest, cost, prof),
-                        LookupClass::Clueless,
-                    );
-                }
-                (_, Some(s)) => s,
-            };
-            if !s.contains(dest) {
-                break 'resolved (
-                    self.common_walk_profiled(dest, cost, prof),
-                    LookupClass::Malformed,
-                );
-            }
-            // The probe's byte model counts what the scan dereferenced:
-            // the 12-byte descriptor plus every 16-byte slot visited.
-            cost.hash_probe();
-            let span = Span::start();
-            let d = self.bucket_desc[s.len() as usize];
-            let mut k = self.bucket_home(s.len(), s.bits());
-            let mut scanned = 0u64;
-            let hit = loop {
-                let slot = &self.bucket_slots[(d.offset + (k & d.mask)) as usize];
-                scanned += 1;
-                if slot.cont == EMPTY_SLOT {
-                    break None;
-                }
-                if slot.key == s.bits() {
-                    break Some(*slot);
-                }
-                k = k.wrapping_add(1);
-            };
-            let probe_ns = span.stop();
-            let probe_bytes = core::mem::size_of::<BucketDesc>() as u64
-                + scanned * core::mem::size_of::<BucketSlot<A>>() as u64;
-            prof.record(Stage::ClueProbe, 1, probe_bytes, probe_ns);
-            match hit {
-                Some(slot) => {
-                    if slot.cont == FINAL_SLOT {
-                        (slot.fd(), LookupClass::Final)
-                    } else {
-                        let span = Span::start();
-                        let mut walk = Cost::new();
-                        let found = self.walk_from(slot.cont, s.len(), dest, &mut walk);
-                        let ns = span.stop();
-                        prof.record(
-                            Stage::Continuation,
-                            walk.total(),
-                            node_bytes * walk.total(),
-                            ns,
-                        );
-                        *cost += walk;
-                        (found.or(slot.fd()), LookupClass::Continued)
-                    }
-                }
-                None => {
-                    (self.common_walk_profiled(dest, cost, prof), LookupClass::Miss)
-                }
-            }
-        };
-        prof.record_lookup(cost.total() - before, whole.stop());
-        (result, class)
-    }
-
-    /// Decodes one packet for the interleaved batch loop: classifies
-    /// it, computes the probe position its lookup will start from,
-    /// prefetches that cache line, and returns the decoded op so the
-    /// resolve pass can pick up exactly where the prefetch pointed —
-    /// the classify/hash work is done once, not twice.
-    #[inline]
-    fn decode_packet(&self, dest: A, clue: Option<Prefix<A>>) -> PacketOp {
-        match (self.method, clue) {
-            (Method::Common, _) | (_, None) => {
-                prefetch_read(&self.root[self.root_index(dest)]);
-                PacketOp::Walk(LookupClass::Clueless)
-            }
-            (_, Some(s)) => {
-                if s.contains(dest) {
-                    let len = s.len();
-                    let k = self.bucket_home(len, s.bits());
-                    let d = self.bucket_desc[len as usize];
-                    prefetch_read(&self.bucket_slots[(d.offset + (k & d.mask)) as usize]);
-                    PacketOp::Probe { k, len }
-                } else {
-                    prefetch_read(&self.root[self.root_index(dest)]);
-                    PacketOp::Walk(LookupClass::Malformed)
-                }
-            }
-        }
-    }
-
-    /// Resolves a packet decoded by [`Self::decode_packet`]. Produces
-    /// the same `(bmp, class)` and charges the same `cost` as
-    /// [`Self::lookup`] — the op merely carries the classification and
-    /// home-slot computation across the two passes.
-    #[inline]
-    fn finish_packet(
-        &self,
-        op: PacketOp,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        match op {
-            PacketOp::Walk(class) => (self.common_walk(dest, cost), class),
-            PacketOp::Probe { k, len } => {
-                cost.hash_probe();
-                let s = clue.expect("a probe op is only decoded from a present clue");
-                match self.bucket_get_from(len, s.bits(), k) {
-                    Some(slot) => {
-                        if slot.cont == FINAL_SLOT {
-                            (slot.fd(), LookupClass::Final)
-                        } else {
-                            let found = self.walk_from(slot.cont, len, dest, cost);
-                            (found.or(slot.fd()), LookupClass::Continued)
-                        }
-                    }
-                    None => (self.common_walk(dest, cost), LookupClass::Miss),
-                }
-            }
-        }
-    }
-
-    /// Decodes one packet and prefetches the cache line its lookup
-    /// will start from, without resolving it — the caller-driven form
-    /// of the interleaved batch loop, for callers whose packets are
-    /// not adjacent in a flat batch (e.g. interleaved trie *walks*
-    /// where each packet is at a different router). Resolve with
-    /// [`Self::lookup_finish`], passing the same `dest` and `clue`;
-    /// the longer the caller waits between the two, the more of the
-    /// fetch latency is hidden.
-    #[inline]
-    pub fn lookup_prepare(&self, dest: A, clue: Option<Prefix<A>>) -> PreparedLookup {
-        PreparedLookup(self.decode_packet(dest, clue))
-    }
-
-    /// Resolves a lookup decoded by [`Self::lookup_prepare`]: same
-    /// `(bmp, class)` and same [`Cost`] charges as [`Self::lookup`]
-    /// on the same `(dest, clue)`.
-    #[inline]
-    pub fn lookup_finish(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (Option<Prefix<A>>, LookupClass) {
-        self.finish_packet(op.0, dest, clue, cost)
-    }
-
-    /// [`Self::common_walk`], resolving to the deepest route *word*
-    /// ([`NO_TAG`] when nothing matched) instead of loading the route
-    /// prefix at every deepening step.
-    #[inline(never)]
-    fn common_walk_tag(&self, dest: A, cost: &mut Cost) -> u32 {
-        let slot = &self.root[self.root_index(dest)];
-        cost.trie_nodes += u64::from(slot.consumed);
-        let mut best = slot.route_word & NO_ROUTE;
-        let mut node = slot.next;
-        while node != NONE_NODE {
-            let n = &self.inner[node as usize];
-            let i = n.first_slot as usize + Self::chunk(dest, n.base, n.width);
-            let slot = &self.slots[i];
-            cost.trie_nodes += u64::from(slot.consumed);
-            let r = slot.route_word & NO_ROUTE;
-            if r != NO_ROUTE {
-                best = r;
-            }
-            node = slot.child;
-        }
-        best
-    }
-
-    /// [`Self::walk_from`], resolving to the deepest route word
-    /// ([`NO_TAG`] when nothing matched). Identical charges.
-    #[inline(never)]
-    fn walk_from_tag(&self, start: u32, mut depth: u8, dest: A, cost: &mut Cost) -> u32 {
-        let mut cur = &self.bin_nodes[start as usize];
-        cost.trie_node();
-        let mut best = cur.route_word & NO_ROUTE;
-        loop {
-            if !cur.may_continue() || depth >= A::BITS {
-                break;
-            }
-            let c = cur.children[dest.bit(depth) as usize];
-            if c == NONE_NODE {
-                break;
-            }
-            cur = &self.bin_nodes[c as usize];
-            depth += 1;
-            cost.trie_node();
-            let r = cur.route_word & NO_ROUTE;
-            if r != NO_ROUTE {
-                best = r;
-            }
-        }
-        best
-    }
-
-    /// [`Self::bucket_get_from`], returning the absolute slot index so
-    /// the caller can also read the parallel `bucket_fd_tags` entry.
-    #[inline]
-    fn bucket_probe_from(&self, len: u8, bits: A, mut k: u32) -> Option<usize> {
-        let d = self.bucket_desc[len as usize];
-        loop {
-            let i = (d.offset + (k & d.mask)) as usize;
-            let slot = &self.bucket_slots[i];
-            if slot.cont == EMPTY_SLOT {
-                return None;
-            }
-            if slot.key == bits {
-                return Some(i);
-            }
-            k = k.wrapping_add(1);
-        }
-    }
-
-    /// As [`Self::lookup_finish`], resolving to a *tag* instead of a
-    /// prefix: the winning payload's index in [`Self::tag_prefixes`],
-    /// or [`NO_TAG`] for no match. `tag_prefixes()[tag]` is exactly
-    /// the prefix `lookup_finish` would have returned, the class and
-    /// [`Cost`] charges are identical, and tags are stable for the
-    /// engine's lifetime — so a caller that post-processes every
-    /// result through a per-prefix side table (say prefix → next hop)
-    /// can index a tag-addressed array and skip the hash a prefix key
-    /// would cost on every lookup.
-    #[inline]
-    pub fn lookup_finish_tag(
-        &self,
-        op: PreparedLookup,
-        dest: A,
-        clue: Option<Prefix<A>>,
-        cost: &mut Cost,
-    ) -> (u32, LookupClass) {
-        match op.0 {
-            PacketOp::Walk(class) => (self.common_walk_tag(dest, cost), class),
-            PacketOp::Probe { k, len } => {
-                cost.hash_probe();
-                let s = clue.expect("a probe op is only decoded from a present clue");
-                match self.bucket_probe_from(len, s.bits(), k) {
-                    Some(i) => {
-                        let slot = &self.bucket_slots[i];
-                        if slot.cont == FINAL_SLOT {
-                            (self.bucket_fd_tags[i], LookupClass::Final)
-                        } else {
-                            let found = self.walk_from_tag(slot.cont, len, dest, cost);
-                            let tag =
-                                if found != NO_TAG { found } else { self.bucket_fd_tags[i] };
-                            (tag, LookupClass::Continued)
-                        }
-                    }
-                    None => (self.common_walk_tag(dest, cost), LookupClass::Miss),
-                }
-            }
-        }
-    }
-
-    /// The tag → prefix table behind [`Self::lookup_finish_tag`]: the
-    /// compiled route prefixes first (a route word's index is its
-    /// tag), then any FD prefixes that are not themselves routes.
-    pub fn tag_prefixes(&self) -> &[Prefix<A>] {
-        &self.routes
-    }
-
-    /// Batched lookup at the default interleave
-    /// ([`DEFAULT_INTERLEAVE`]); see
-    /// [`Self::lookup_batch_interleaved`].
-    ///
-    /// # Panics
-    /// Panics unless `dests`, `clues` and `out` have equal lengths.
-    pub fn lookup_batch(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-    ) -> EngineStats {
-        self.lookup_batch_interleaved(dests, clues, out, DEFAULT_INTERLEAVE)
-    }
-
-    /// Batched lookup in lockstep groups of `group` packets: pass one
-    /// prefetches each packet's first probe target, pass two resolves
-    /// the group while the fetches are in flight. `group <= 1`
-    /// disables the prefetch pass; larger groups are clamped to an
-    /// internal cap (64) so the decoded ops stay on the stack. The
-    /// resolved decisions and stats are identical at every group size
-    /// — interleave is a latency treatment, not a semantic one.
-    ///
-    /// # Panics
-    /// Panics unless `dests`, `clues` and `out` have equal lengths.
-    pub fn lookup_batch_interleaved(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-    ) -> EngineStats {
-        assert_eq!(dests.len(), clues.len(), "one clue slot per destination");
-        assert_eq!(dests.len(), out.len(), "one decision slot per destination");
-        let group = group.max(1);
-        // The telemetry branch is hoisted clear of the loops; both arms
-        // monomorphize `batch_core` with their record closure inlined.
-        let (stats, groups, prefetches) = match &self.telemetry {
-            None => self.batch_core(dests, clues, out, group, |_, _, _| {}),
-            Some(t) => self.batch_core(dests, clues, out, group, |clue_len, class, cost| {
-                t.record(&LookupEvent {
-                    clue_len,
-                    class,
-                    search_depth: search_depth(class, cost),
-                    cache_hit: None,
-                    memory_references: cost.total(),
-                });
-            }),
-        };
-        if let Some(st) = &self.stride_telemetry {
-            st.record_batch(dests.len() as u64, groups, prefetches);
-        }
-        stats
-    }
-
-    /// The batch loop body. With `group > 1` each group is resolved in
-    /// two passes — decode-and-prefetch, then finish from the decoded
-    /// ops — so every prefetch has a group's worth of work to hide
-    /// behind and the classify/hash step runs once per packet. Returns
-    /// `(stats, groups, prefetches)` for the stride telemetry record.
-    fn batch_core(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut [Decision<A>],
-        group: usize,
-        mut record: impl FnMut(Option<u8>, LookupClass, Cost),
-    ) -> (EngineStats, u64, u64) {
-        let mut stats = EngineStats::default();
-        let mut groups = 0u64;
-        let mut prefetches = 0u64;
-        if group <= 1 {
-            groups = dests.len() as u64;
-            for ((&dest, &clue), slot) in dests.iter().zip(clues).zip(out.iter_mut()) {
-                let mut cost = Cost::new();
-                let (bmp, class) = self.lookup(dest, clue, &mut cost);
-                bump(&mut stats, class);
-                record(clue.map(|s| s.len()), class, cost);
-                *slot = Decision { bmp, class, cost };
-            }
-        } else {
-            let group = group.min(MAX_INTERLEAVE);
-            let mut ops = [PacketOp::Walk(LookupClass::Clueless); MAX_INTERLEAVE];
-            for ((dests, clues), out) in dests
-                .chunks(group)
-                .zip(clues.chunks(group))
-                .zip(out.chunks_mut(group))
-            {
-                groups += 1;
-                prefetches += dests.len() as u64;
-                for ((&dest, &clue), op) in dests.iter().zip(clues).zip(ops.iter_mut()) {
-                    *op = self.decode_packet(dest, clue);
-                }
-                for (((&dest, &clue), slot), &op) in
-                    dests.iter().zip(clues).zip(out.iter_mut()).zip(&ops)
-                {
-                    let mut cost = Cost::new();
-                    let (bmp, class) = self.finish_packet(op, dest, clue, &mut cost);
-                    bump(&mut stats, class);
-                    record(clue.map(|s| s.len()), class, cost);
-                    *slot = Decision { bmp, class, cost };
-                }
-            }
-        }
-        (stats, groups, prefetches)
-    }
-
-    /// As [`Self::lookup_batch`], resizing and reusing a
-    /// caller-supplied buffer.
-    pub fn lookup_batch_into(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-        out: &mut Vec<Decision<A>>,
-    ) -> EngineStats {
-        out.clear();
-        out.resize(dests.len(), Decision::default());
-        self.lookup_batch(dests, clues, out)
-    }
-
-    /// Allocating convenience over [`Self::lookup_batch`].
-    pub fn lookup_batch_vec(
-        &self,
-        dests: &[A],
-        clues: &[Option<Prefix<A>>],
-    ) -> (Vec<Decision<A>>, EngineStats) {
-        let mut out = Vec::new();
-        let stats = self.lookup_batch_into(dests, clues, &mut out);
-        (out, stats)
     }
 }
 
@@ -1266,6 +636,7 @@ const _: () = assert!(CONT_BIT == 1 << 31);
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
+    use crate::frozen::Decision;
     use clue_lookup::Family;
     use clue_trie::Ip4;
 
@@ -1398,7 +769,7 @@ mod tests {
         scalar.instrument(&registry);
         let mut stride = scalar.freeze_stride(StrideConfig::default()).unwrap();
         assert!(stride.telemetry().is_some(), "lookup telemetry inherited through freeze");
-        stride.attach_stride_telemetry(StrideTelemetry::registered(&registry, "clue_stride"));
+        stride.attach_stride_telemetry(BatchTelemetry::registered(&registry, "clue_stride"));
         let dests = vec![a("10.1.2.3"), a("192.168.3.4"), a("10.9.9.9")];
         let clues = vec![Some(p("10.1.0.0/16")), Some(p("192.168.0.0/16")), None];
         let mut out = vec![Decision::default(); dests.len()];
@@ -1516,35 +887,5 @@ mod tests {
         assert!(stride.memory_bytes() > 0);
         assert_eq!(stride.method(), Method::Advance);
         assert_eq!(stride.config(), StrideConfig::new(8, 8));
-    }
-
-    #[test]
-    fn buckets_find_every_clue_and_only_clues() {
-        let (sender, receiver) = tables();
-        let scalar = ClueEngine::precomputed(
-            &sender,
-            &receiver,
-            EngineConfig::new(Family::Regular, Method::Advance),
-        );
-        let frozen = scalar.freeze().unwrap();
-        let stride = frozen.compile_stride(StrideConfig::default()).unwrap();
-        for (clue, &i) in frozen.raw_map() {
-            let entry = &frozen.raw_entries()[i as usize];
-            let slot = stride
-                .bucket_get(clue.len(), clue.bits())
-                .unwrap_or_else(|| panic!("clue {clue} missing from its bucket"));
-            assert_eq!(slot.key, clue.bits());
-            assert_eq!(slot.fd(), entry.fd, "inlined FD diverges for {clue}");
-            let want = if entry.cont == NONE_NODE { FINAL_SLOT } else { entry.cont };
-            assert_eq!(slot.cont, want, "inlined continuation diverges for {clue}");
-        }
-        assert!(
-            stride.bucket_get(24, a("10.1.2.0")).is_none(),
-            "receiver-only route is no clue"
-        );
-        assert!(
-            stride.bucket_get(0, Ip4::ZERO).is_none(),
-            "length-0 window is the empty sentinel"
-        );
     }
 }

@@ -8,7 +8,10 @@
 //! bitmap layout finds hardest: the default route, full-length /32
 //! hosts, and aggregable sibling pairs.
 
-use clue_core::{ClueEngine, CompressedConfig, CompressedEngine, EngineConfig, FrozenEngine, Method};
+use clue_core::{
+    ClueEngine, CompiledBackend, CompressedConfig, CompressedEngine, EngineConfig, FrozenEngine,
+    Method,
+};
 use clue_lookup::{reference_bmp, Family};
 use clue_trie::{Cost, Ip4, Prefix};
 use proptest::prelude::*;

@@ -3,7 +3,7 @@
 //! indistinguishable from the scalar [`ClueEngine`] path — same BMPs,
 //! same per-packet [`Cost`] tick for tick, same class tallies.
 
-use clue_core::{ClueEngine, EngineConfig, FrozenEngine, Method};
+use clue_core::{ClueEngine, CompiledBackend, EngineConfig, FrozenEngine, Method};
 use clue_lookup::{reference_bmp, Family};
 use clue_trie::{Cost, Ip4, Prefix};
 use proptest::prelude::*;

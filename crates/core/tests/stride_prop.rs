@@ -5,7 +5,9 @@
 //! compiled from — same BMPs, same [`LookupClass`], same per-packet
 //! [`Cost`] tick for tick — at every interleave group size.
 
-use clue_core::{ClueEngine, EngineConfig, FrozenEngine, Method, StrideConfig, StrideEngine};
+use clue_core::{
+    ClueEngine, CompiledBackend, EngineConfig, FrozenEngine, Method, StrideConfig, StrideEngine,
+};
 use clue_lookup::{reference_bmp, Family};
 use clue_trie::{Cost, Ip4, Prefix};
 use proptest::prelude::*;

@@ -42,7 +42,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
 use clue_core::{
-    ClueEngine, Decision, EngineConfig, EngineStats, EpochEngine, FreezeError, Method,
+    ClueEngine, CompiledBackend, Decision, EngineConfig, EngineStats, EpochEngine, FreezeError,
+    Method,
 };
 use clue_lookup::Family;
 use clue_tablegen::{end_state, RouteUpdate, UpdateKind};

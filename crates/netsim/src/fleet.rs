@@ -38,8 +38,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 use clue_core::{
-    BatchSignals, ClueEngine, ClueHeader, EngineConfig, EpochCell, EpochGuard, EpochReader,
-    Method, ReputationBook, ReputationConfig, StrideConfig, StrideEngine, StrideError, NO_TAG,
+    BatchSignals, ClueEngine, ClueHeader, CompiledBackend, EngineConfig, EpochCell, EpochGuard,
+    EpochReader, Method, ReputationBook, ReputationConfig, StrideConfig, StrideEngine, StrideError,
+    NO_TAG,
 };
 use clue_lookup::Family;
 use clue_tablegen::{rebase_into_block, synthesize_ipv4, ZipfSampler};

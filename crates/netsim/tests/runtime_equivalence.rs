@@ -5,7 +5,9 @@
 //! exactly the plain batch lookup of the same inputs at every worker
 //! count.
 
-use clue_core::{ClueEngine, CompressedConfig, EngineConfig, EpochCell, Method, StrideConfig};
+use clue_core::{
+    ClueEngine, CompiledBackend, CompressedConfig, EngineConfig, EpochCell, Method, StrideConfig,
+};
 use clue_lookup::Family;
 use clue_netsim::{
     run_workload_per_packet, serve_lookups, CompressedNetwork, FrozenNetwork, Network,

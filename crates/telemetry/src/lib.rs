@@ -37,6 +37,7 @@
 #![warn(missing_docs)]
 
 mod adversary;
+mod batch;
 mod churn;
 mod compressed;
 mod export;
@@ -47,10 +48,10 @@ mod registry;
 mod runtime;
 mod server;
 mod shard;
-mod stride;
 pub mod trace;
 
 pub use adversary::{AdversaryTelemetry, ReputationTelemetry};
+pub use batch::BatchTelemetry;
 pub use churn::ChurnTelemetry;
 pub use compressed::CompressedTelemetry;
 pub use fault::DegradationTelemetry;
@@ -60,7 +61,6 @@ pub use lookup::{CacheTelemetry, LookupTelemetry};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, Metric, Registry, Snapshot};
 pub use runtime::RuntimeTelemetry;
 pub use server::ScrapeServer;
-pub use stride::StrideTelemetry;
 pub use trace::{LookupClass, LookupEvent, RingBufferSubscriber, Subscriber};
 
 /// Default memory-reference histogram bounds: fine granularity around
